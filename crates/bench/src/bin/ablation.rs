@@ -83,7 +83,11 @@ fn main() {
         transposition: TranspositionModel::Hdkr,
         ..PvSystemParams::defaults(1_000.0, lat)
     });
-    hdkr.data.pv_unit_kw = pv.simulate(&hdkr.data.weather).scaled(1.0 / 1_000.0);
+    let weather = hdkr
+        .data
+        .site
+        .weather_year(hdkr.data.step(), hdkr.config.seed);
+    hdkr.data.pv_unit_kw = pv.simulate(&weather).scaled(1.0 / 1_000.0);
     report("HDKR transposition", &hdkr, &cfg, &comps);
 
     println!();

@@ -57,7 +57,14 @@ fn required_fields(kind: &str) -> &'static [&'static str] {
         // study, exactly one of done/cancelled to close it, a queued event
         // when the process-wide cap defers it, one request_error per error
         // frame.
-        "study_start" => &["sites", "plan_space", "prep_hits", "prep_misses"],
+        "study_start" => &[
+            "sites",
+            "plan_space",
+            "prep_hits",
+            "prep_misses",
+            "template_hits",
+            "template_misses",
+        ],
         "study_done" => &["generations", "sampled", "unique", "front", "wall_ms"],
         "study_queued" => &["ahead"],
         "study_cancelled" => &["generations", "sampled", "wall_ms"],

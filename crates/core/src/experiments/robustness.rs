@@ -65,9 +65,11 @@ pub struct RobustnessOutput {
     pub battery_cycles: MetricDistribution,
 }
 
-/// Simulate `comp` under `n_seeds` independently synthesized years.
+/// Simulate `comp` under `n_seeds` independently synthesized years, all
+/// prepared over one shared site template.
 pub fn run(base: &ScenarioConfig, comp: Composition, n_seeds: usize) -> RobustnessOutput {
     assert!(n_seeds >= 2, "need at least two seeds for a distribution");
+    let template = base.site_template();
     let results: Vec<_> = (0..n_seeds as u64)
         .into_par_iter()
         .map(|k| {
@@ -75,7 +77,7 @@ pub fn run(base: &ScenarioConfig, comp: Composition, n_seeds: usize) -> Robustne
                 seed: base.seed.wrapping_add(k * 7_919),
                 ..base.clone()
             }
-            .prepare();
+            .prepare_with(&template);
             let r = simulate_year(&scenario.data, &scenario.load, &comp, &scenario.config.sim);
             (
                 r.metrics.operational_t_per_day,

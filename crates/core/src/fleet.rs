@@ -26,7 +26,7 @@ use std::sync::Arc;
 use mgopt_microgrid::{Composition, FleetEvaluator, FleetResult, FleetSite};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::PreparedCache;
+use crate::cache::{PrepStats, PreparedCache};
 use crate::scenario::{PreparedScenario, ScenarioConfig};
 
 /// One named member of a fleet scenario.
@@ -95,12 +95,8 @@ impl FleetScenario {
             .members
             .iter()
             .map(|m| {
-                let (prepared, hit) = cache.get_or_prepare(&m.scenario);
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
+                let (prepared, member) = cache.get_or_prepare(&m.scenario);
+                stats += member;
                 prepared
             })
             .collect();
@@ -124,15 +120,6 @@ impl FleetScenario {
             );
         }
     }
-}
-
-/// Prepared-cache outcome of one [`FleetScenario::prepare_shared`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrepStats {
-    /// Members served from the cache.
-    pub hits: u32,
-    /// Members synthesized from scratch.
-    pub misses: u32,
 }
 
 /// A fleet scenario with all member inputs synthesized.

@@ -33,9 +33,9 @@ pub mod scenario;
 pub mod sweep;
 pub mod wire;
 
-pub use cache::{scenario_cache_key, scenario_key_hash, PreparedCache};
+pub use cache::{scenario_cache_key, scenario_key_hash, PrepStats, PreparedCache};
 pub use fleet::{
-    fleet_plans, fleet_sweep, FleetAssignment, FleetMember, FleetScenario, PrepStats, PreparedFleet,
+    fleet_plans, fleet_sweep, FleetAssignment, FleetMember, FleetScenario, PreparedFleet,
 };
 pub use objectives::{ObjectiveKind, ObjectiveSet};
 pub use problem::{CompositionProblem, FleetProblem};

@@ -3,16 +3,17 @@
 //! A [`ScenarioConfig`] is a plain serde value (JSON in this workspace)
 //! that fully determines an experiment: site, simulation step, seeds,
 //! workload, search space, and simulation parameters. `prepare()` turns it
-//! into the heavyweight [`PreparedScenario`] (synthesized weather, unit
-//! generation profiles, CI/price signals, load trace) shared by all trials.
+//! into the heavyweight [`PreparedScenario`] (unit generation profiles
+//! from a synthesized weather year, CI/price signals, load trace) shared
+//! by all trials.
 
-use mgopt_microgrid::{CompositionSpace, SimConfig, Site, SiteData};
+use mgopt_microgrid::{CompositionSpace, SimConfig, Site, SiteData, SiteTemplate};
 use mgopt_units::{SimDuration, TimeSeries};
 use mgopt_workload::{constant_load, diurnal_web_load, HpcWorkload, HpcWorkloadParams};
 use serde::{Deserialize, Serialize};
 
 /// Built-in sites (the paper's two case studies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SitePreset {
     /// Berkeley, CA (CAISO).
     Berkeley,
@@ -120,15 +121,45 @@ impl ScenarioConfig {
         SimDuration::from_minutes(self.step_minutes as f64)
     }
 
+    /// The seed-independent tables of this scenario's site at its step.
+    /// Every scenario differing only in `seed`, `workload`, `space` or
+    /// `sim` can prepare over the same template.
+    ///
+    /// # Panics
+    /// Panics unless [`Site::supports_step`] holds for the step.
+    pub fn site_template(&self) -> SiteTemplate {
+        self.site.site().template(self.step())
+    }
+
     /// Synthesize all inputs (expensive; do once, share across trials).
+    /// Builds a one-shot [`site_template`](Self::site_template) and drops
+    /// it; use [`prepare_with`](Self::prepare_with) to share one.
+    ///
+    /// # Panics
+    /// Panics unless [`Site::supports_step`] holds for the step.
     pub fn prepare(&self) -> PreparedScenario {
+        self.prepare_with(&self.site_template())
+    }
+
+    /// Synthesize all inputs over a shared template of this scenario's
+    /// site and step — bit-identical to [`prepare`](Self::prepare).
+    ///
+    /// # Panics
+    /// Panics when `template` belongs to another site or step.
+    pub fn prepare_with(&self, template: &SiteTemplate) -> PreparedScenario {
         let step = self.step();
-        let data = self.site.site().prepare(step, self.seed);
-        let load = self.workload.generate(step, self.seed);
+        assert!(
+            template.step() == step && template.site().name == self.site.name(),
+            "template of {} at {} does not match scenario {} at {}",
+            template.site().name,
+            template.step(),
+            self.site.name(),
+            step
+        );
         PreparedScenario {
             config: self.clone(),
-            data,
-            load,
+            data: template.prepare(self.seed),
+            load: self.workload.generate(step, self.seed),
         }
     }
 }
@@ -138,7 +169,7 @@ impl ScenarioConfig {
 pub struct PreparedScenario {
     /// The originating configuration.
     pub config: ScenarioConfig,
-    /// Site data (weather, unit profiles, CI, prices).
+    /// Site data (unit profiles, CI, prices).
     pub data: SiteData,
     /// The data-center load trace, kW.
     pub load: TimeSeries,
@@ -195,6 +226,34 @@ mod tests {
         let web = WorkloadConfig::Web { mean_kw: 800.0 }.generate(step, 1);
         assert!((web.mean() - 800.0).abs() < 1e-6);
         assert!(web.std() > 0.0);
+    }
+
+    #[test]
+    fn shared_template_prepares_the_same_bits() {
+        let cfg = ScenarioConfig {
+            space: CompositionSpace::tiny(),
+            ..ScenarioConfig::paper_berkeley()
+        };
+        let template = cfg.site_template();
+        for seed in [3, 4] {
+            let cfg = ScenarioConfig {
+                seed,
+                ..cfg.clone()
+            };
+            let (a, b) = (cfg.prepare_with(&template), cfg.prepare());
+            assert_eq!(a.data.pv_unit_kw, b.data.pv_unit_kw);
+            assert_eq!(a.data.wind_unit_kw, b.data.wind_unit_kw);
+            assert_eq!(a.data.ci_g_per_kwh, b.data.ci_g_per_kwh);
+            assert_eq!(a.data.price_usd_per_mwh, b.data.price_usd_per_mwh);
+            assert_eq!(a.load, b.load);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match scenario")]
+    fn foreign_template_is_refused() {
+        let houston = ScenarioConfig::paper_houston().site_template();
+        ScenarioConfig::paper_berkeley().prepare_with(&houston);
     }
 
     #[test]

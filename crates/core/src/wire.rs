@@ -61,7 +61,7 @@
 //! turns these into [`Response::Error`] frames and never crashes on bad
 //! input.
 
-use mgopt_microgrid::{Composition, CompositionSpace};
+use mgopt_microgrid::{Composition, CompositionSpace, Site};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::fleet::FleetScenario;
@@ -295,6 +295,13 @@ fn validate_scenario(scenario: &FleetScenario) -> Result<(), WireError> {
             return Err(WireError::invalid(format!(
                 "member {}: step_minutes must be positive",
                 m.name
+            )));
+        }
+        if !Site::supports_step(m.scenario.step()) {
+            return Err(WireError::invalid(format!(
+                "member {}: step_minutes {} unsupported: the step must divide a day \
+                 and either divide an hour or be a whole number of hours",
+                m.name, m.scenario.step_minutes
             )));
         }
         if m.scenario.step_minutes != step {

@@ -108,15 +108,44 @@ impl CarbonIntensityModel {
         (seasonal * diurnal).max(0.05)
     }
 
-    /// Generate one year of carbon intensity (gCO2/kWh) at the given step,
-    /// exactly mean-calibrated to `annual_mean_g_per_kwh`.
-    pub fn generate(&self, step: SimDuration, seed: u64) -> TimeSeries {
+    /// [`relative_shape`](Self::relative_shape) at every step of the year:
+    /// the seed-independent half of [`generate`](Self::generate).
+    ///
+    /// # Panics
+    /// Panics unless the step divides the year.
+    pub fn shape_year(&self, step: SimDuration) -> Vec<f64> {
         let step_s = step.secs();
         assert!(
             step_s > 0 && SECONDS_PER_YEAR % step_s == 0,
             "step must divide the year"
         );
-        let n = (SECONDS_PER_YEAR / step_s) as usize;
+        (0..SECONDS_PER_YEAR / step_s)
+            .map(|i| self.relative_shape(SimTime::from_secs(i * step_s)))
+            .collect()
+    }
+
+    /// Generate one year of carbon intensity (gCO2/kWh) at the given step,
+    /// exactly mean-calibrated to `annual_mean_g_per_kwh`.
+    ///
+    /// # Panics
+    /// Panics unless the step divides the year.
+    pub fn generate(&self, step: SimDuration, seed: u64) -> TimeSeries {
+        self.generate_over(&self.shape_year(step), step, seed)
+    }
+
+    /// [`generate`](Self::generate) over a precomputed
+    /// [`shape_year`](Self::shape_year) table: the seeded AR(1) noise, the
+    /// mean calibration and the floor.
+    ///
+    /// # Panics
+    /// Panics unless `shape` holds one entry per step of the year.
+    pub fn generate_over(&self, shape: &[f64], step: SimDuration, seed: u64) -> TimeSeries {
+        let step_s = step.secs();
+        assert!(
+            step_s > 0 && shape.len() as i64 * step_s == SECONDS_PER_YEAR,
+            "shape table must cover the year at the step"
+        );
+        let n = shape.len();
 
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xc0_2e_11_55);
         let steps_per_hour = 3_600.0 / step_s as f64;
@@ -125,8 +154,7 @@ impl CarbonIntensityModel {
         let mut g = 0.0f64;
 
         let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = SimTime::from_secs(i as i64 * step_s);
+        for &relative in shape {
             let eps: f64 = {
                 // Box-Muller on two uniforms.
                 let u1: f64 = rng.gen_range(1e-12..1.0);
@@ -135,8 +163,7 @@ impl CarbonIntensityModel {
             };
             g = rho * g + innovation * eps;
             let noise = 1.0 + self.noise_std * g;
-            let raw = self.relative_shape(t) * noise.max(0.1);
-            values.push(raw);
+            values.push(relative * noise.max(0.1));
         }
 
         // Exact mean calibration, then floor.

@@ -72,4 +72,4 @@ pub use simd::{simd_enabled, BatchBackend, F64x4, LANES};
 pub use simulate::{
     build_cosim_microgrid, simulate_period, simulate_year, simulate_year_cosim, SimConfig,
 };
-pub use site::{Site, SiteData};
+pub use site::{Site, SiteData, SiteTemplate};

@@ -7,11 +7,25 @@
 //! capacity (PVWatts scales with DC nameplate at fixed DC/AC ratio; a farm
 //! of identical turbines scales with the turbine count), so the sweep only
 //! needs *unit profiles*: AC output per kW of solar and per turbine.
+//!
+//! ## Templates: the seed-independent half
+//!
+//! About half of a preparation depends only on the site and the step,
+//! never on the seed: the sun position and clear-sky envelope, the
+//! extraterrestrial irradiance, the temperature and wind climatology
+//! shapes, the PV array's incidence angle and the grid's carbon-intensity
+//! shape. A [`SiteTemplate`] tabulates them once; [`SiteTemplate::prepare`]
+//! runs only the seeded processes over the tables (clouds, temperature
+//! and wind anomalies, carbon-intensity noise, prices) and the
+//! weather-driven models (PVWatts, Windpower, the CI coupling).
+//! [`Site::prepare`] is a one-shot template, so there is one code path,
+//! and a template shared across seeds gives the same bits as preparing
+//! each seed from scratch.
 
 use mgopt_gridcarbon::{CarbonIntensityModel, GridRegion, PriceModel};
-use mgopt_sam::{GenerationModel, PvSystem, WindFarm};
-use mgopt_units::{SimDuration, TimeSeries};
-use mgopt_weather::{Climate, WeatherGenerator, WeatherYear};
+use mgopt_sam::{ArraySun, PvSystem, WindFarm};
+use mgopt_units::{SimDuration, TimeSeries, SECONDS_PER_DAY, SECONDS_PER_YEAR};
+use mgopt_weather::{Climate, WeatherTemplate, WeatherYear};
 use serde::{Deserialize, Serialize};
 
 /// A data-center site.
@@ -48,23 +62,142 @@ impl Site {
         }
     }
 
-    /// Precompute everything the sweep needs at the given step.
+    /// Whether [`prepare`](Self::prepare) can synthesize a year at `step`
+    /// ([`mgopt_weather::supports_step`]: the step divides a day and
+    /// either divides an hour or is a whole number of hours).
+    pub fn supports_step(step: SimDuration) -> bool {
+        mgopt_weather::supports_step(step)
+    }
+
+    /// Tabulate this site's seed-independent physics at `step`.
+    ///
+    /// # Panics
+    /// Panics unless [`supports_step`](Self::supports_step) holds.
+    pub fn template(&self, step: SimDuration) -> SiteTemplate {
+        SiteTemplate::new(self, step)
+    }
+
+    /// Precompute everything the sweep needs at the given step: a one-shot
+    /// [`SiteTemplate`].
+    ///
+    /// # Panics
+    /// Panics unless [`supports_step`](Self::supports_step) holds.
     pub fn prepare(&self, step: SimDuration, seed: u64) -> SiteData {
-        let weather = WeatherGenerator::new(self.climate.clone(), seed).generate(step);
+        self.template(step).prepare(seed)
+    }
 
-        let pv = PvSystem::with_capacity_kw(1_000.0, self.climate.location.latitude_deg);
-        let pv_unit_kw = pv.simulate(&weather).scaled(1.0 / 1_000.0);
+    /// The synthesized weather year [`prepare`](Self::prepare) pushes
+    /// through the generation models for `seed` ([`SiteData`] does not
+    /// keep it).
+    ///
+    /// # Panics
+    /// Panics unless [`supports_step`](Self::supports_step) holds.
+    pub fn weather_year(&self, step: SimDuration, seed: u64) -> WeatherYear {
+        WeatherTemplate::new(&self.climate, step).generate(seed)
+    }
+}
 
-        let wind = WindFarm::with_turbines(1);
-        let wind_unit_kw = wind.simulate(&weather);
+/// The seed-independent tables of one site at one step (see the
+/// [module docs](self)).
+///
+/// Per step: the weather's zenith cosine and clear-sky GHI, the unit PV
+/// array's incidence cosine and the grid's carbon-intensity shape. Day-
+/// and time-of-day-indexed climatology factors live in the
+/// [`WeatherTemplate`]. Templates are immutable and `Sync`, so concurrent
+/// preparations of different seeds can share one behind an `Arc`.
+#[derive(Debug, Clone)]
+pub struct SiteTemplate {
+    site: Site,
+    weather: WeatherTemplate,
+    pv: PvSystem,
+    pv_cos_aoi: Vec<f64>,
+    wind: WindFarm,
+    ci_model: CarbonIntensityModel,
+    ci_shape: Vec<f64>,
+}
 
-        let ci = CarbonIntensityModel::for_region(self.grid_region).generate(step, seed);
-        let ci = couple_ci_to_weather(self.grid_region, &ci, &pv_unit_kw, &wind_unit_kw);
-        let price = self.price_model.generate(step, seed);
+impl SiteTemplate {
+    /// Tabulate `site` at `step`.
+    ///
+    /// # Panics
+    /// Panics unless [`Site::supports_step`] holds.
+    pub fn new(site: &Site, step: SimDuration) -> Self {
+        let pv = PvSystem::with_capacity_kw(1_000.0, site.climate.location.latitude_deg);
+        let mut pv_cos_aoi = Vec::with_capacity((SECONDS_PER_YEAR / step.secs().max(1)) as usize);
+        let weather = WeatherTemplate::with_sun(&site.climate, step, |_, pos| {
+            pv_cos_aoi.push(pv.cos_aoi(pos))
+        });
+        let ci_model = CarbonIntensityModel::for_region(site.grid_region);
+        let ci_shape = ci_model.shape_year(step);
+        Self {
+            site: site.clone(),
+            weather,
+            pv,
+            pv_cos_aoi,
+            wind: WindFarm::with_turbines(1),
+            ci_model,
+            ci_shape,
+        }
+    }
+
+    /// The tabulated site.
+    pub fn site(&self) -> &Site {
+        &self.site
+    }
+
+    /// The step every table is sampled at.
+    pub fn step(&self) -> SimDuration {
+        self.weather.step()
+    }
+
+    /// Heap bytes held by the tables (the per-site cost of keeping a
+    /// template cached).
+    pub fn table_bytes(&self) -> usize {
+        self.weather.table_bytes()
+            + std::mem::size_of::<f64>() * (self.pv_cos_aoi.capacity() + self.ci_shape.capacity())
+    }
+
+    /// Run the seeded processes and the generation models over the tables.
+    pub fn prepare(&self, seed: u64) -> SiteData {
+        let step = self.step();
+        let steps_per_day = (SECONDS_PER_DAY / step.secs()) as usize;
+        let climate = &self.site.climate;
+        let wind_module =
+            PvSystem::module_wind_scale(climate.wind.ref_height_m, climate.wind.shear_exponent);
+        let pressure_pa = self.weather.pressure_pa();
+        let cos_zenith = self.weather.cos_zenith();
+        let mut pv = Vec::with_capacity(self.weather.len());
+        let mut wind = Vec::with_capacity(self.weather.len());
+        self.weather.for_each_sample(seed, |i, s| {
+            let sun = ArraySun {
+                cos_aoi: self.pv_cos_aoi[i],
+                cos_zenith: cos_zenith[i],
+                day_of_year: (i / steps_per_day) as u32,
+            };
+            pv.push(self.pv.ac_power_at(
+                s.ghi,
+                s.dni,
+                s.dhi,
+                s.temp_air_c,
+                s.wind_speed_ms * wind_module,
+                &sun,
+            ));
+            wind.push(self.wind.power_kw(
+                s.wind_speed_ms,
+                climate.wind.ref_height_m,
+                climate.wind.shear_exponent,
+                WindFarm::air_density(pressure_pa, s.temp_air_c),
+            ));
+        });
+        let pv_unit_kw = TimeSeries::new(step, pv).scaled(1.0 / 1_000.0);
+        let wind_unit_kw = TimeSeries::new(step, wind);
+
+        let ci = self.ci_model.generate_over(&self.ci_shape, step, seed);
+        let ci = couple_ci_to_weather(self.site.grid_region, &ci, &pv_unit_kw, &wind_unit_kw);
+        let price = self.site.price_model.generate(step, seed);
 
         SiteData {
-            site: self.clone(),
-            weather,
+            site: self.site.clone(),
             pv_unit_kw,
             wind_unit_kw,
             ci_g_per_kwh: ci,
@@ -149,12 +282,15 @@ fn couple_ci_to_weather(
 }
 
 /// Precomputed per-site simulation inputs.
+///
+/// It holds only what the simulators read: the unit generation profiles
+/// and the grid signals. The synthesized weather year behind them is not
+/// kept (five series nobody reads after preparation); regenerate it with
+/// [`Site::weather_year`] and the same step and seed.
 #[derive(Debug, Clone)]
 pub struct SiteData {
     /// The site definition.
     pub site: Site,
-    /// The synthesized weather year.
-    pub weather: WeatherYear,
     /// AC output of 1 kW(DC) of PVWatts solar, kW per kW.
     pub pv_unit_kw: TimeSeries,
     /// AC output of one 3 MW turbine including farm losses, kW.
@@ -248,6 +384,18 @@ mod tests {
         assert_eq!(a.pv_unit_kw, b.pv_unit_kw);
         assert_eq!(a.wind_unit_kw, b.wind_unit_kw);
         assert_eq!(a.ci_g_per_kwh, b.ci_g_per_kwh);
+    }
+
+    #[test]
+    fn template_tables_are_per_step_only_where_needed() {
+        // Four per-step tables (zenith cosine, clear-sky GHI, PV incidence
+        // cosine, CI shape), three per-day tables and two per-step-of-day
+        // tables.
+        for (minutes, n) in [(60.0, 8_760), (15.0, 35_040)] {
+            let t = Site::houston().template(SimDuration::from_minutes(minutes));
+            let per_day_steps = (1_440.0 / minutes) as usize;
+            assert_eq!(t.table_bytes(), 8 * (4 * n + 3 * 365 + 2 * per_day_steps));
+        }
     }
 
     #[test]

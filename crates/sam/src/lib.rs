@@ -21,7 +21,7 @@
 pub mod pvwatts;
 pub mod windpower;
 
-pub use pvwatts::{PvSystem, PvSystemParams, TranspositionModel};
+pub use pvwatts::{ArraySun, PvSystem, PvSystemParams, TranspositionModel};
 pub use windpower::{PowerCurve, WindFarm, WindFarmParams, WindTurbineParams};
 
 use mgopt_units::TimeSeries;

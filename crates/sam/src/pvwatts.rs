@@ -77,6 +77,19 @@ pub struct PvSystem {
     params: PvSystemParams,
 }
 
+/// Where the sun stands relative to the array at one step: everything the
+/// PVWatts chain reads from solar geometry. It depends only on the site,
+/// the array and the instant, never on the weather seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArraySun {
+    /// Angle-of-incidence cosine, clamped at zero ([`PvSystem::cos_aoi`]).
+    pub cos_aoi: f64,
+    /// Zenith cosine, clamped at zero below the horizon.
+    pub cos_zenith: f64,
+    /// 0-based day of year.
+    pub day_of_year: u32,
+}
+
 /// Plane-of-array irradiance components, W/m².
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoaIrradiance {
@@ -132,6 +145,15 @@ impl PvSystem {
         cos.max(0.0)
     }
 
+    /// The array's view of the sun at `pos` on `day_of_year`.
+    pub fn array_sun(&self, pos: &SunPosition, day_of_year: u32) -> ArraySun {
+        ArraySun {
+            cos_aoi: self.cos_aoi(pos),
+            cos_zenith: pos.cos_zenith(),
+            day_of_year,
+        }
+    }
+
     /// Transpose horizontal irradiance onto the array plane.
     pub fn transpose(
         &self,
@@ -141,8 +163,13 @@ impl PvSystem {
         pos: &SunPosition,
         day_of_year: u32,
     ) -> PoaIrradiance {
+        self.transpose_at(ghi, dni, dhi, &self.array_sun(pos, day_of_year))
+    }
+
+    /// [`transpose`](Self::transpose) over a precomputed [`ArraySun`].
+    pub fn transpose_at(&self, ghi: f64, dni: f64, dhi: f64, sun: &ArraySun) -> PoaIrradiance {
         let beta = self.params.tilt_deg.to_radians();
-        let cos_aoi = self.cos_aoi(pos);
+        let cos_aoi = sun.cos_aoi;
         let beam = dni * cos_aoi;
         let ground = ghi * self.params.albedo * (1.0 - beta.cos()) / 2.0;
 
@@ -150,8 +177,8 @@ impl PvSystem {
             TranspositionModel::Isotropic => dhi * (1.0 + beta.cos()) / 2.0,
             TranspositionModel::Hdkr => {
                 // Anisotropy index: beam transmittance of the atmosphere.
-                let ext = mgopt_weather::solar_pos::extraterrestrial_normal_w_m2(day_of_year);
-                let cos_z = pos.cos_zenith();
+                let ext = mgopt_weather::solar_pos::extraterrestrial_normal_w_m2(sun.day_of_year);
+                let cos_z = sun.cos_zenith;
                 let ai = if ext > 1.0 {
                     (dni / ext).clamp(0.0, 1.0)
                 } else {
@@ -199,6 +226,30 @@ impl PvSystem {
         (p * (1.0 - self.params.system_losses)).max(0.0)
     }
 
+    /// Factor from the weather's reference-height wind to the ~2 m wind
+    /// the modules feel (power-law shear).
+    pub fn module_wind_scale(wind_ref_height_m: f64, wind_shear_exponent: f64) -> f64 {
+        (2.0f64 / wind_ref_height_m).powf(wind_shear_exponent)
+    }
+
+    /// AC power (kW) at one step: transposition, cell temperature, DC
+    /// power and the inverter. `wind_module_ms` is the wind at module
+    /// height ([`module_wind_scale`](Self::module_wind_scale)).
+    pub fn ac_power_at(
+        &self,
+        ghi: f64,
+        dni: f64,
+        dhi: f64,
+        temp_air_c: f64,
+        wind_module_ms: f64,
+        sun: &ArraySun,
+    ) -> f64 {
+        let poa = self.transpose_at(ghi, dni, dhi, sun);
+        let t_cell = self.cell_temperature_c(poa.total(), temp_air_c, wind_module_ms);
+        let dc = self.dc_power_kw(poa.total(), t_cell);
+        self.ac_power_kw(dc)
+    }
+
     /// AC power (kW) through the PVWatts part-load inverter curve.
     pub fn ac_power_kw(&self, dc_kw: f64) -> f64 {
         if dc_kw <= 0.0 {
@@ -221,21 +272,22 @@ impl GenerationModel for PvSystem {
         let mut values = Vec::with_capacity(n);
         // Turbine-height wind is irrelevant here; PV arrays sit near the
         // ground, so shear the reference wind down to 2 m.
-        let wind_scale = (2.0f64 / weather.wind_ref_height_m).powf(weather.wind_shear_exponent);
+        let wind_scale =
+            Self::module_wind_scale(weather.wind_ref_height_m, weather.wind_shear_exponent);
         for i in 0..n {
             let t = SimTime::from_secs(i as i64 * step.secs());
-            let pos = sun_position(&weather.location, t);
-            let poa = self.transpose(
+            let sun = self.array_sun(
+                &sun_position(&weather.location, t),
+                t.calendar().day_of_year,
+            );
+            values.push(self.ac_power_at(
                 weather.ghi.values()[i],
                 weather.dni.values()[i],
                 weather.dhi.values()[i],
-                &pos,
-                t.calendar().day_of_year,
-            );
-            let wind = weather.wind_speed_ms.values()[i] * wind_scale;
-            let t_cell = self.cell_temperature_c(poa.total(), weather.temp_air_c.values()[i], wind);
-            let dc = self.dc_power_kw(poa.total(), t_cell);
-            values.push(self.ac_power_kw(dc));
+                weather.temp_air_c.values()[i],
+                weather.wind_speed_ms.values()[i] * wind_scale,
+                &sun,
+            ));
         }
         TimeSeries::new(step, values)
     }

@@ -81,7 +81,7 @@
 //! | `MGOPT_SERVER_CONCURRENCY` | Max in-flight studies across all connections (default 4); studies beyond the cap queue and answer `Queued`. |
 //! | `MGOPT_SERVER_CACHE` | Prepared-scenario cache capacity (default 8). |
 //! | `MGOPT_SERVER_MAX_FRAME` | Max request-line bytes (default 1048576). |
-//! | `MGOPT_TRACE` | Per-study audit log: `server.study` spans, `study_start` / `study_queued` / `study_done` / `study_cancelled` / `request_error` events, `prep_cache.*` counters. |
+//! | `MGOPT_TRACE` | Per-study audit log: `server.study` spans, `study_start` / `study_queued` / `study_done` / `study_cancelled` / `request_error` events, `prep_cache.*` and `prep_template.*` counters. |
 //!
 //! ## Audit log
 //!
@@ -92,6 +92,15 @@
 //! `request_error` for every error frame), and the prepared cache bumps
 //! `prep_cache.hits` / `prep_cache.misses` — all on the `MGOPT_TRACE`
 //! JSONL stream, readable with `trace_report`.
+//!
+//! Template reuse is counted next to it. Every scenario the cache has to
+//! synthesize first looks up its site template, keyed by (site, step),
+//! and bumps `prep_template.hits` when one is cached or
+//! `prep_template.misses` when it tabulates one. `study_start` carries
+//! the study's own counts as `prep_hits` / `prep_misses` and
+//! `template_hits` / `template_misses`. A study whose members all miss
+//! the scenario tier but hit the template tier (fresh seeds on known
+//! sites) pays only the seeded half of preparation.
 
 pub mod pipe;
 
@@ -447,6 +456,8 @@ impl Server {
             .u64("plan_space", plan_space)
             .u64("prep_hits", u64::from(stats.hits))
             .u64("prep_misses", u64::from(stats.misses))
+            .u64("template_hits", u64::from(stats.template_hits))
+            .u64("template_misses", u64::from(stats.template_misses))
             .u64(
                 "fleet_key",
                 scenario

@@ -400,11 +400,16 @@ pub enum Counter {
     PrepCacheHits,
     /// Prepared-scenario cache misses (scenarios synthesized from scratch).
     PrepCacheMisses,
+    /// Site-template hits (scenario syntheses that reused a cached
+    /// `Arc<SiteTemplate>` and ran only the seeded processes).
+    PrepTemplateHits,
+    /// Site-template misses (templates tabulated from scratch).
+    PrepTemplateMisses,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 12] = [
         Counter::BatchChunks,
         Counter::BatchRows,
         Counter::FleetChunks,
@@ -415,6 +420,8 @@ impl Counter {
         Counter::SimdRemainderRows,
         Counter::PrepCacheHits,
         Counter::PrepCacheMisses,
+        Counter::PrepTemplateHits,
+        Counter::PrepTemplateMisses,
     ];
 
     /// Stable display / event name.
@@ -430,6 +437,8 @@ impl Counter {
             Counter::SimdRemainderRows => "simd.remainder_rows",
             Counter::PrepCacheHits => "prep_cache.hits",
             Counter::PrepCacheMisses => "prep_cache.misses",
+            Counter::PrepTemplateHits => "prep_template.hits",
+            Counter::PrepTemplateMisses => "prep_template.misses",
         }
     }
 
@@ -445,6 +454,8 @@ impl Counter {
             Counter::SimdRemainderRows => 7,
             Counter::PrepCacheHits => 8,
             Counter::PrepCacheMisses => 9,
+            Counter::PrepTemplateHits => 10,
+            Counter::PrepTemplateMisses => 11,
         }
     }
 }

@@ -21,7 +21,18 @@
 //!    records the SAM-style performance models need.
 //!
 //! Everything is deterministic given a [`Climate`] and a seed.
-
+//!
+//! ## Seed-independent and seeded stages
+//!
+//! Stage 1 and the climatology shapes of stages 4 and 5 (the wind's
+//! monthly Weibull scale and diurnal factor, the temperature's seasonal
+//! mean and diurnal offset) depend only on the site and the step, never
+//! on the seed. A [`WeatherTemplate`] tabulates them once per
+//! (climate, step). [`WeatherTemplate::generate`] then runs only the
+//! seeded processes over the tables: the cloud regime chain, the
+//! decomposition of each all-sky sample, and the temperature and wind
+//! anomalies. [`WeatherGenerator::generate`] is a one-shot template, so
+//! both paths run the same per-step arithmetic and give the same bits.
 pub mod clearsky;
 pub mod climate;
 pub mod cloud;
@@ -33,7 +44,10 @@ pub mod solar_pos;
 pub mod temperature;
 pub mod wind;
 
-use mgopt_units::{SimDuration, SimTime, TimeSeries, SECONDS_PER_YEAR};
+use mgopt_units::time::{month_of_day, DAYS_PER_YEAR};
+use mgopt_units::{
+    SimDuration, SimTime, TimeSeries, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
+};
 use serde::{Deserialize, Serialize};
 
 pub use climate::Climate;
@@ -87,6 +101,228 @@ pub fn pressure_at_elevation_pa(elevation_m: f64) -> f64 {
     101_325.0 * (1.0 - 2.255_77e-5 * elevation_m).powf(5.255_88)
 }
 
+/// Whether the synthesizer can produce a year at `step`: the step must
+/// divide a day, and either divide an hour or be a whole number of hours.
+/// Every such step also divides the year.
+pub fn supports_step(step: SimDuration) -> bool {
+    let s = step.secs();
+    s > 0 && SECONDS_PER_DAY % s == 0 && (SECONDS_PER_HOUR % s == 0 || s % SECONDS_PER_HOUR == 0)
+}
+
+/// One synthesized weather sample, in [`WeatherYear`] units.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeatherSample {
+    /// Global horizontal irradiance, W/m².
+    pub ghi: f64,
+    /// Direct normal irradiance, W/m².
+    pub dni: f64,
+    /// Diffuse horizontal irradiance, W/m².
+    pub dhi: f64,
+    /// Ambient air temperature, °C.
+    pub temp_air_c: f64,
+    /// Wind speed at the climatology's reference height, m/s.
+    pub wind_speed_ms: f64,
+}
+
+/// The seed-independent tables of one climate's weather year at one step.
+///
+/// Per step: the zenith cosine and the clear-sky GHI. Per day of year:
+/// extraterrestrial normal irradiance, the seasonal temperature mean and
+/// the month's Weibull wind scale. Per step of the day: the diurnal
+/// temperature offset and wind factor. Each entry is the value the
+/// per-instant functions ([`solar_pos`], [`clearsky`], [`temperature`],
+/// [`wind`]) return, so combining them with the seeded processes in
+/// [`generate`](Self::generate) reproduces the inline arithmetic bit for
+/// bit.
+#[derive(Debug, Clone)]
+pub struct WeatherTemplate {
+    climate: Climate,
+    step: SimDuration,
+    cos_zenith: Vec<f64>,
+    clearsky_ghi: Vec<f64>,
+    ext_normal_w_m2: Vec<f64>,
+    temp_seasonal_c: Vec<f64>,
+    wind_scale_ms: Vec<f64>,
+    temp_diurnal_c: Vec<f64>,
+    wind_diurnal: Vec<f64>,
+}
+
+impl WeatherTemplate {
+    /// Tabulate `climate` at `step`.
+    ///
+    /// # Panics
+    /// Panics unless [`supports_step`] holds for `step`.
+    pub fn new(climate: &Climate, step: SimDuration) -> Self {
+        Self::with_sun(climate, step, |_, _| {})
+    }
+
+    /// Like [`new`](Self::new), and hands each step's instant and sun
+    /// position to `visit` in time order, so callers can tabulate their
+    /// own geometry without computing the sun a second time.
+    ///
+    /// # Panics
+    /// Panics unless [`supports_step`] holds for `step`.
+    pub fn with_sun(
+        climate: &Climate,
+        step: SimDuration,
+        mut visit: impl FnMut(SimTime, &solar_pos::SunPosition),
+    ) -> Self {
+        assert!(
+            supports_step(step),
+            "weather step must divide a day and either divide an hour or be a whole number of hours"
+        );
+        let step_s = step.secs();
+        let n = (SECONDS_PER_YEAR / step_s) as usize;
+        let mut cos_zenith = Vec::with_capacity(n);
+        let mut clearsky_ghi = Vec::with_capacity(n);
+        for i in 0..n {
+            let t = SimTime::from_secs(i as i64 * step_s);
+            let pos = solar_pos::sun_position(&climate.location, t);
+            cos_zenith.push(pos.cos_zenith());
+            clearsky_ghi.push(clearsky::clearsky_ghi_from_position(&pos));
+            visit(t, &pos);
+        }
+        let days = 0..DAYS_PER_YEAR as u32;
+        let steps_of_day = (0..SECONDS_PER_DAY / step_s)
+            .map(|k| SimTime::from_secs(k * step_s).calendar().hour_of_day());
+        Self {
+            climate: climate.clone(),
+            step,
+            cos_zenith,
+            clearsky_ghi,
+            ext_normal_w_m2: days
+                .clone()
+                .map(solar_pos::extraterrestrial_normal_w_m2)
+                .collect(),
+            temp_seasonal_c: days
+                .clone()
+                .map(|d| temperature::seasonal_mean_c(&climate.temperature, d))
+                .collect(),
+            wind_scale_ms: days
+                .map(|d| wind::monthly_scale_ms(&climate.wind, month_of_day(d)))
+                .collect(),
+            temp_diurnal_c: steps_of_day
+                .clone()
+                .map(|h| temperature::diurnal_offset_c(&climate.temperature, h))
+                .collect(),
+            wind_diurnal: steps_of_day
+                .map(|h| wind::diurnal_factor(&climate.wind, h))
+                .collect(),
+        }
+    }
+
+    /// The step every table is sampled at.
+    pub fn step(&self) -> SimDuration {
+        self.step
+    }
+
+    /// Samples per year.
+    pub fn len(&self) -> usize {
+        self.cos_zenith.len()
+    }
+
+    /// `true` if the year holds no samples (cannot happen by construction).
+    pub fn is_empty(&self) -> bool {
+        self.cos_zenith.is_empty()
+    }
+
+    /// Zenith cosine per step, clamped at zero below the horizon.
+    pub fn cos_zenith(&self) -> &[f64] {
+        &self.cos_zenith
+    }
+
+    /// Site air pressure, Pa.
+    pub fn pressure_pa(&self) -> f64 {
+        pressure_at_elevation_pa(self.climate.location.elevation_m)
+    }
+
+    /// Heap bytes held by the tables.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of::<f64>()
+            * [
+                &self.cos_zenith,
+                &self.clearsky_ghi,
+                &self.ext_normal_w_m2,
+                &self.temp_seasonal_c,
+                &self.wind_scale_ms,
+                &self.temp_diurnal_c,
+                &self.wind_diurnal,
+            ]
+            .iter()
+            .map(|v| v.capacity())
+            .sum::<usize>()
+    }
+
+    /// Run the seeded processes over the tables and hand every step's
+    /// sample to `sink` in time order, with its step index.
+    ///
+    /// The cloud process always runs at hourly resolution (clouds do not
+    /// need sub-hourly regime switches); irradiance, temperature and wind
+    /// are produced at the template's step.
+    pub fn for_each_sample(&self, seed: u64, mut sink: impl FnMut(usize, WeatherSample)) {
+        let step_s = self.step.secs();
+        let steps_per_day = self.temp_diurnal_c.len();
+        let kci = cloud::CloudGenerator::new(self.climate.solar.clone(), seed).generate_year();
+        let mut temp_gen =
+            temperature::TemperatureGenerator::new(self.climate.temperature.clone(), seed);
+        let mut wind_gen = wind::WindGenerator::new(self.climate.wind.clone(), seed, step_s);
+        for i in 0..self.len() {
+            let hour_idx = (i as i64 * step_s / SECONDS_PER_HOUR) as usize % kci.len();
+            let (day, k) = (i / steps_per_day, i % steps_per_day);
+            let cos_z = self.cos_zenith[i];
+            let g = self.clearsky_ghi[i] * kci[hour_idx];
+            let ext = self.ext_normal_w_m2[day] * cos_z;
+            let kt = if ext > 1.0 {
+                (g / ext).clamp(0.0, 1.1)
+            } else {
+                0.0
+            };
+            let comps = decomposition::decompose(g, kt, cos_z);
+            let temp_air_c = temp_gen.step_over(self.temp_seasonal_c[day] + self.temp_diurnal_c[k]);
+            let wind_speed_ms = wind_gen.step_over(self.wind_scale_ms[day], self.wind_diurnal[k]);
+            sink(
+                i,
+                WeatherSample {
+                    ghi: comps.ghi,
+                    dni: comps.dni,
+                    dhi: comps.dhi,
+                    temp_air_c,
+                    wind_speed_ms,
+                },
+            );
+        }
+    }
+
+    /// Synthesize the full year for `seed`.
+    pub fn generate(&self, seed: u64) -> WeatherYear {
+        let n = self.len();
+        let mut ghi = Vec::with_capacity(n);
+        let mut dni = Vec::with_capacity(n);
+        let mut dhi = Vec::with_capacity(n);
+        let mut temp = Vec::with_capacity(n);
+        let mut wind_v = Vec::with_capacity(n);
+        self.for_each_sample(seed, |_, s| {
+            ghi.push(s.ghi);
+            dni.push(s.dni);
+            dhi.push(s.dhi);
+            temp.push(s.temp_air_c);
+            wind_v.push(s.wind_speed_ms);
+        });
+        let step = self.step;
+        WeatherYear {
+            location: self.climate.location.clone(),
+            ghi: TimeSeries::new(step, ghi),
+            dni: TimeSeries::new(step, dni),
+            dhi: TimeSeries::new(step, dhi),
+            temp_air_c: TimeSeries::new(step, temp),
+            wind_speed_ms: TimeSeries::new(step, wind_v),
+            wind_ref_height_m: self.climate.wind.ref_height_m,
+            wind_shear_exponent: self.climate.wind.shear_exponent,
+            pressure_pa: self.pressure_pa(),
+        }
+    }
+}
+
 /// Top-level generator: one [`Climate`] + seed → [`WeatherYear`].
 #[derive(Debug, Clone)]
 pub struct WeatherGenerator {
@@ -105,70 +341,13 @@ impl WeatherGenerator {
         &self.climate
     }
 
-    /// Synthesize a full year at the given step.
-    ///
-    /// The cloud process always runs at hourly resolution (clouds do not
-    /// need sub-hourly regime switches); irradiance, temperature and wind
-    /// are produced at the requested step.
+    /// Synthesize a full year at the given step: a one-shot
+    /// [`WeatherTemplate`].
     ///
     /// # Panics
-    /// Panics unless the step divides one hour or is a multiple of it that
-    /// divides the year.
+    /// Panics unless [`supports_step`] holds for `step`.
     pub fn generate(&self, step: SimDuration) -> WeatherYear {
-        let step_s = step.secs();
-        assert!(
-            step_s > 0
-                && (3_600 % step_s == 0 || (step_s % 3_600 == 0 && SECONDS_PER_YEAR % step_s == 0)),
-            "weather step must divide an hour or be a whole number of hours"
-        );
-        let n = (SECONDS_PER_YEAR / step_s) as usize;
-
-        let kci = cloud::CloudGenerator::new(self.climate.solar.clone(), self.seed).generate_year();
-        let mut temp_gen =
-            temperature::TemperatureGenerator::new(self.climate.temperature.clone(), self.seed);
-        let mut wind_gen = wind::WindGenerator::new(self.climate.wind.clone(), self.seed, step_s);
-
-        let mut ghi = Vec::with_capacity(n);
-        let mut dni = Vec::with_capacity(n);
-        let mut dhi = Vec::with_capacity(n);
-        let mut temp = Vec::with_capacity(n);
-        let mut wind_v = Vec::with_capacity(n);
-
-        for i in 0..n {
-            let t = SimTime::from_secs(i as i64 * step_s);
-            let hour_idx = (t.secs() / 3_600) as usize % kci.len();
-
-            let pos = solar_pos::sun_position(&self.climate.location, t);
-            let cs = clearsky::clearsky_ghi_from_position(&pos);
-            let g = cs * kci[hour_idx];
-
-            let ext = solar_pos::extraterrestrial_normal_w_m2(t.calendar().day_of_year)
-                * pos.cos_zenith();
-            let kt = if ext > 1.0 {
-                (g / ext).clamp(0.0, 1.1)
-            } else {
-                0.0
-            };
-            let comps = decomposition::decompose(g, kt, pos.cos_zenith());
-
-            ghi.push(comps.ghi);
-            dni.push(comps.dni);
-            dhi.push(comps.dhi);
-            temp.push(temp_gen.step(t));
-            wind_v.push(wind_gen.step(t));
-        }
-
-        WeatherYear {
-            location: self.climate.location.clone(),
-            ghi: TimeSeries::new(step, ghi),
-            dni: TimeSeries::new(step, dni),
-            dhi: TimeSeries::new(step, dhi),
-            temp_air_c: TimeSeries::new(step, temp),
-            wind_speed_ms: TimeSeries::new(step, wind_v),
-            wind_ref_height_m: self.climate.wind.ref_height_m,
-            wind_shear_exponent: self.climate.wind.shear_exponent,
-            pressure_pa: pressure_at_elevation_pa(self.climate.location.elevation_m),
-        }
+        WeatherTemplate::new(&self.climate, step).generate(self.seed)
     }
 }
 
@@ -204,6 +383,18 @@ mod tests {
     #[should_panic(expected = "weather step")]
     fn incompatible_step_panics() {
         WeatherGenerator::new(Climate::berkeley(), 1).generate(SimDuration::from_secs(7_000));
+    }
+
+    #[test]
+    fn supported_steps_divide_a_day_and_align_with_the_hour() {
+        let ok = |min: f64| supports_step(SimDuration::from_minutes(min));
+        for min in [1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 360.0, 1_440.0] {
+            assert!(ok(min), "{min} min");
+        }
+        // 7 min does not divide an hour; 5 h and 73 h do not divide a day.
+        for min in [0.0, 7.0, 90.0, 300.0, 4_380.0] {
+            assert!(!ok(min), "{min} min");
+        }
     }
 
     #[test]

@@ -18,10 +18,14 @@ use crate::math::Ar1;
 /// Deterministic seasonal + diurnal temperature baseline, °C.
 pub fn baseline_temp_c(climate: &TemperatureClimate, t: SimTime) -> f64 {
     let cal = t.calendar();
-    let seasonal = seasonal_mean_c(climate, cal.day_of_year);
-    // Diurnal cycle: minimum at ~05:00, maximum at ~15:00.
-    let phase = (cal.hour_of_day() - 15.0) / 24.0 * std::f64::consts::TAU;
-    seasonal + 0.5 * climate.diurnal_swing_c * phase.cos()
+    seasonal_mean_c(climate, cal.day_of_year) + diurnal_offset_c(climate, cal.hour_of_day())
+}
+
+/// Diurnal departure from the seasonal mean at a fractional hour of day,
+/// °C: minimum at ~05:00, maximum at ~15:00.
+pub fn diurnal_offset_c(climate: &TemperatureClimate, hour_of_day: f64) -> f64 {
+    let phase = (hour_of_day - 15.0) / 24.0 * std::f64::consts::TAU;
+    0.5 * climate.diurnal_swing_c * phase.cos()
 }
 
 /// Monthly-mean curve interpolated to a day of year (piecewise linear
@@ -67,9 +71,15 @@ impl TemperatureGenerator {
     ///
     /// Call once per simulation step in time order.
     pub fn step(&mut self, t: SimTime) -> f64 {
+        self.step_over(baseline_temp_c(&self.climate, t))
+    }
+
+    /// Temperature over a precomputed [`baseline_temp_c`], advancing the
+    /// anomaly process one step — the seeded half of [`step`](Self::step).
+    pub fn step_over(&mut self, baseline_c: f64) -> f64 {
         let eps = sample_standard_normal(&mut self.rng);
         let anomaly = self.anomaly.step(eps) * self.climate.anomaly_std_c;
-        baseline_temp_c(&self.climate, t) + anomaly
+        baseline_c + anomaly
     }
 }
 

@@ -42,20 +42,21 @@ impl WindGenerator {
     ///
     /// Call once per simulation step in time order.
     pub fn step(&mut self, t: SimTime) -> f64 {
+        let cal = t.calendar();
+        self.step_over(
+            monthly_scale_ms(&self.climate, cal.month),
+            diurnal_factor(&self.climate, cal.hour_of_day()),
+        )
+    }
+
+    /// Wind speed over a precomputed [`monthly_scale_ms`] and
+    /// [`diurnal_factor`], advancing the process one step — the seeded
+    /// half of [`step`](Self::step).
+    pub fn step_over(&mut self, scale_ms: f64, diurnal: f64) -> f64 {
         let eps = sample_standard_normal(&mut self.rng);
         let g = self.process.step(eps);
         let u = norm_cdf(g);
-
-        let cal = t.calendar();
-        let scale =
-            self.climate.weibull_scale_ms * self.climate.monthly_scale_factor[cal.month as usize];
-        let speed = weibull_quantile(u, scale, self.climate.weibull_shape);
-
-        // Diurnal modulation preserves the daily mean to first order:
-        // multiply by 1 + A cos(phase), whose mean over a day is 1.
-        let phase =
-            (cal.hour_of_day() - self.climate.diurnal_peak_hour) / 24.0 * std::f64::consts::TAU;
-        let diurnal = 1.0 + self.climate.diurnal_amplitude * phase.cos();
+        let speed = weibull_quantile(u, scale_ms, self.climate.weibull_shape);
         (speed * diurnal).max(0.0)
     }
 
@@ -63,6 +64,19 @@ impl WindGenerator {
     pub fn steps_per_hour(&self) -> f64 {
         self.steps_per_hour
     }
+}
+
+/// Weibull scale parameter in a month (0-based), m/s.
+pub fn monthly_scale_ms(climate: &WindClimate, month: u32) -> f64 {
+    climate.weibull_scale_ms * climate.monthly_scale_factor[month as usize]
+}
+
+/// Diurnal speed multiplier at a fractional hour of day. It is
+/// `1 + A cos(phase)`, whose mean over a day is 1, so the modulation
+/// preserves the daily mean to first order.
+pub fn diurnal_factor(climate: &WindClimate, hour_of_day: f64) -> f64 {
+    let phase = (hour_of_day - climate.diurnal_peak_hour) / 24.0 * std::f64::consts::TAU;
+    1.0 + climate.diurnal_amplitude * phase.cos()
 }
 
 /// Extrapolate a wind speed between heights with the power law

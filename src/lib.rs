@@ -102,7 +102,9 @@
 //! [`server`] turns the batch research code into a long-lived service:
 //! the `mgopt_serve` daemon holds prepared sites hot in a shared
 //! `core::PreparedCache` (Arc-handout, LRU, `prep_cache.*` hit/miss
-//! counters), accepts newline-delimited JSON study requests over TCP
+//! counters, plus a second tier of seed-independent site templates
+//! counted by `prep_template.*`, so a fresh seed on a known site pays
+//! only the seeded half of preparation), accepts newline-delimited JSON study requests over TCP
 //! (connections served concurrently, up to `MGOPT_ACCEPTORS` at once),
 //! stdin/stdout, or an in-process pipe, and multiplexes concurrent
 //! NSGA-II studies over the shared SIMD batch engine — streaming per

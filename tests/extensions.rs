@@ -87,7 +87,8 @@ fn exported_weather_file_reproduces_generation_profiles() {
     // Export the site's weather, re-import it, and rebuild the unit
     // profiles: they must match the originals exactly.
     let mut buf = Vec::new();
-    weather::io::write_csv(&s.data.weather, &mut buf).unwrap();
+    let weather = s.data.site.weather_year(s.data.step(), s.config.seed);
+    weather::io::write_csv(&weather, &mut buf).unwrap();
     let imported = weather::io::read_csv(buf.as_slice()).unwrap();
 
     let pv = PvSystem::with_capacity_kw(1_000.0, imported.location.latitude_deg);

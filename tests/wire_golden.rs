@@ -315,8 +315,36 @@ fn rejected_requests_produce_the_documented_error_codes() {
             MalformedFrame,
         ),
     ];
-    for (line, want) in cases {
-        let err = parse_request(line).expect_err(&format!("must reject: {line}"));
+    // Well-formed frames whose study the daemon cannot run: a step the
+    // weather synthesizer cannot honour must be refused up front, never
+    // reach preparation.
+    let mut odd_step = FleetScenario::paper();
+    odd_step.members.truncate(1);
+    odd_step.members[0].scenario.step_minutes = 7;
+    let odd_step = encode_request(&frame(
+        "x",
+        Request::Study(StudyRequest {
+            fleet: FleetSpec::Inline(odd_step),
+            space: None,
+            objectives: None,
+            budget: StudyBudget {
+                population_size: 4,
+                max_trials: 8,
+                seed: 1,
+            },
+            peak_cap_kw: None,
+            stream: false,
+        }),
+    ));
+    let resolved: &[(&str, ErrorCode)] = &[(&odd_step, InvalidRequest)];
+    for (line, want) in cases.iter().chain(resolved) {
+        // The daemon's admission path: strict parse, then study resolution.
+        let err = parse_request(line)
+            .and_then(|frame| match frame.req {
+                Request::Study(study) => study.resolved_scenario().map(drop),
+                _ => Ok(()),
+            })
+            .expect_err(&format!("must reject: {line}"));
         assert_eq!(err.code, *want, "wrong code for: {line}");
     }
 }
