@@ -225,6 +225,78 @@ proptest! {
     }
 }
 
+fn every_policy() -> [DispatchPolicy; 4] {
+    [
+        DispatchPolicy::SelfConsumption,
+        DispatchPolicy::Islanded,
+        DispatchPolicy::CarbonAwareGridCharge {
+            ci_threshold_g_per_kwh: 330.0,
+            target_soc: 0.9,
+        },
+        DispatchPolicy::BatterySparing {
+            deficit_threshold_kw: 200.0,
+        },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Battery state through the batch engine is **bit-identical** to the
+    /// `ClcBattery` recursion `simulate_period` runs, over whole years, for
+    /// every dispatch policy and both forced backends. Cohort sizes that
+    /// are not lane multiples (1, 3, 5, 65) put padding next to real lanes.
+    #[test]
+    fn batch_soc_traces_and_cycles_are_bit_identical_to_clc_battery(
+        comps in prop::collection::vec(arbitrary_composition(), 65),
+        size in prop::sample::select(vec![1usize, 3, 5, 65]),
+        n_steps in prop::sample::select(vec![24usize, 1_095, 8_760]),
+    ) {
+        let cohort = &comps[..size];
+        for s in [houston(), berkeley()] {
+            for policy in every_policy() {
+                let cfg = SimConfig {
+                    policy,
+                    record_soc: true,
+                    ..s.config.sim.clone()
+                };
+                let oracle: Vec<_> = cohort
+                    .iter()
+                    .map(|c| simulate_period(&s.data, &s.load, c, &cfg, n_steps))
+                    .collect();
+                for backend in [BatchBackend::Scalar, BatchBackend::Simd] {
+                    let batch = simulate_batch_period_with_backend(
+                        &s.data, &s.load, cohort, &cfg, n_steps, backend,
+                    );
+                    prop_assert_eq!(batch.len(), size);
+                    for (a, b) in oracle.iter().zip(&batch) {
+                        let what = format!(
+                            "{} {} {backend:?} size={size} n={n_steps} {}",
+                            s.site_name(), policy.name(), a.composition,
+                        );
+                        prop_assert_eq!(a.composition, b.composition);
+                        prop_assert_eq!(
+                            a.metrics.battery_cycles.to_bits(),
+                            b.metrics.battery_cycles.to_bits(),
+                            "{what}: battery_cycles",
+                        );
+                        prop_assert_eq!(
+                            a.soc_trace_hourly.len(),
+                            b.soc_trace_hourly.len(),
+                            "{what}: trace length",
+                        );
+                        for (h, (x, y)) in
+                            a.soc_trace_hourly.iter().zip(&b.soc_trace_hourly).enumerate()
+                        {
+                            prop_assert_eq!(x.to_bits(), y.to_bits(), "{what}: soc hour {h}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn batched_tiny_sweep_agrees_with_scalar_engine_on_both_sites() {
     for site in [SitePreset::Houston, SitePreset::Berkeley] {
