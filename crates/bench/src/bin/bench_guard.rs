@@ -58,7 +58,6 @@ struct SweepArtifact {
     speedup: f64,
     max_rel_error: f64,
     threads: usize,
-    simd: bool,
     simd_ms_median: f64,
     scalar_batch_ms_median: f64,
     simd_speedup: f64,
@@ -78,7 +77,6 @@ struct FleetArtifact {
     max_rel_error: f64,
     peak_concurrent_import_mw: f64,
     threads: usize,
-    simd: bool,
     simd_ms_min: f64,
     scalar_walk_ms_min: f64,
     simd_speedup: f64,
@@ -99,7 +97,6 @@ struct FleetSearchArtifact {
     speedup: f64,
     agreement: bool,
     threads: usize,
-    simd: bool,
     simd_ms_min: f64,
     scalar_walk_ms_min: f64,
     simd_speedup: f64,
@@ -154,16 +151,6 @@ fn expected_compositions() -> Option<usize> {
         return None;
     }
     Some(if mgopt_bench::fast_mode() { 27 } else { 1_089 })
-}
-
-/// The `simd` flag every artifact must have recorded: the same
-/// `MGOPT_SIMD` resolution the engines use, re-derived here. An artifact
-/// reporting `simd: false` under a default environment means the bench
-/// quietly fell back to the scalar walk.
-fn expected_simd_flag() -> bool {
-    std::env::var("MGOPT_SIMD")
-        .map(|v| v != "0")
-        .unwrap_or(true)
 }
 
 /// Shared sanity checks for a bin's `scaling` section.
@@ -282,14 +269,6 @@ fn main() {
             ),
         );
         check(
-            a.simd == expected_simd_flag(),
-            format!(
-                "sweep: recorded simd={} but MGOPT_SIMD resolves to {}",
-                a.simd,
-                expected_simd_flag()
-            ),
-        );
-        check(
             a.simd_ms_median > 0.0 && a.scalar_batch_ms_median > 0.0,
             "sweep: non-positive SIMD A/B timing".into(),
         );
@@ -339,14 +318,6 @@ fn main() {
             ),
         );
         check(
-            a.simd == expected_simd_flag(),
-            format!(
-                "fleet: recorded simd={} but MGOPT_SIMD resolves to {}",
-                a.simd,
-                expected_simd_flag()
-            ),
-        );
-        check(
             a.simd_speedup > 0.0 && a.simd_ms_min > 0.0 && a.scalar_walk_ms_min > 0.0,
             "fleet: malformed SIMD A/B timings".into(),
         );
@@ -390,14 +361,6 @@ fn main() {
         check(
             a.simd_agreement,
             "fleet_search: SIMD-backed and scalar-walk searches diverged".into(),
-        );
-        check(
-            a.simd == expected_simd_flag(),
-            format!(
-                "fleet_search: recorded simd={} but MGOPT_SIMD resolves to {}",
-                a.simd,
-                expected_simd_flag()
-            ),
         );
         check(
             a.simd_speedup > 0.0 && a.simd_ms_min > 0.0 && a.scalar_walk_ms_min > 0.0,

@@ -30,9 +30,6 @@ struct SweepBench {
     speedup: f64,
     max_rel_error: f64,
     threads: usize,
-    /// Whether the default batched timing above ran the SIMD chunk walk
-    /// (the `MGOPT_SIMD` toggle at bench time).
-    simd: bool,
     /// Forced-SIMD batched sweep, median ms.
     simd_ms_median: f64,
     /// Forced-scalar batched sweep, median ms.
@@ -140,7 +137,6 @@ fn main() {
         // core detection used to mislabel entries on multi-core hosts
         // whenever detection failed.
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
         simd_ms_median: simd_med,
         scalar_batch_ms_median: scalar_walk_med,
         simd_speedup: scalar_walk_med / simd_med,

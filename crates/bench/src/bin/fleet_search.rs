@@ -45,9 +45,6 @@ struct FleetSearchBench {
     speedup: f64,
     agreement: bool,
     threads: usize,
-    /// Whether the batched timings above ran the SIMD chunk walk (the
-    /// `MGOPT_SIMD` toggle at bench time).
-    simd: bool,
     /// The batched search forced onto the SIMD walk, min ms.
     simd_ms_min: f64,
     /// The batched search forced onto the scalar walk, min ms.
@@ -213,7 +210,6 @@ fn main() {
         speedup: scalar_min / batched_min,
         agreement,
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
         simd_ms_min: simd_min,
         scalar_walk_ms_min: scalar_walk_min,
         simd_speedup: scalar_walk_min / simd_min,

@@ -40,9 +40,6 @@ struct FleetBench {
     max_rel_error: f64,
     peak_concurrent_import_mw: f64,
     threads: usize,
-    /// Whether the interleaved timings above ran the SIMD chunk walk (the
-    /// `MGOPT_SIMD` toggle at bench time).
-    simd: bool,
     /// Forced-SIMD interleaved sweep (peak tracking off), min ms.
     simd_ms_min: f64,
     /// Forced-scalar interleaved sweep (peak tracking off), min ms.
@@ -209,7 +206,6 @@ fn main() {
         max_rel_error,
         peak_concurrent_import_mw: peak_mw,
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
         simd_ms_min: simd_min,
         scalar_walk_ms_min: scalar_walk_min,
         simd_speedup: scalar_walk_min / simd_min,

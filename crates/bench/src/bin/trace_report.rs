@@ -106,8 +106,6 @@ struct EngineAgg {
     calls: u64,
     rows: u64,
     chunks: u64,
-    simd_rows: u64,
-    simd_remainder_rows: u64,
     prepare_ms: f64,
     kernel_ms: f64,
     wall_ms: f64,
@@ -118,10 +116,6 @@ impl EngineAgg {
         self.calls += 1;
         self.rows += ev.uint("rows").unwrap_or(0);
         self.chunks += ev.uint("chunks").unwrap_or(0);
-        // Optional (added with the SIMD kernel) — older traces summarize
-        // without a lane-utilization line.
-        self.simd_rows += ev.uint("simd_rows").unwrap_or(0);
-        self.simd_remainder_rows += ev.uint("simd_remainder_rows").unwrap_or(0);
         self.prepare_ms += ev.num("prepare_ms").unwrap_or(0.0);
         self.kernel_ms += ev.num("kernel_ms").unwrap_or(0.0);
         self.wall_ms += ev.num("wall_ms").unwrap_or(0.0);
@@ -147,16 +141,6 @@ impl EngineAgg {
             self.wall_ms,
             throughput
         );
-        let vectorized = self.simd_rows + self.simd_remainder_rows;
-        if vectorized > 0 {
-            println!(
-                "  {:<12} {:>6.1}% of rows in full lanes ({} lane rows, {} scalar-remainder rows)",
-                "  lane util", // indented sublabel under the engine row
-                self.simd_rows as f64 / vectorized as f64 * 1e2,
-                self.simd_rows,
-                self.simd_remainder_rows
-            );
-        }
     }
 }
 

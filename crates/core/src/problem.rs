@@ -211,14 +211,15 @@ impl<'a> FleetProblem<'a> {
             fleet,
             dims,
             peak_cap_kw: None,
-            backend: BatchBackend::Auto,
+            backend: BatchBackend::default(),
         }
     }
 
-    /// Force a chunk-walk backend on the underlying fleet engine (default:
-    /// follow the `MGOPT_SIMD` toggle). The walks are pinned bit-identical,
-    /// so search trajectories do not depend on the choice; benches use this
-    /// for like-for-like A/B timing.
+    /// Force a lane width on the underlying fleet engine (default: the
+    /// 4-lane walk). Both widths run the same walk and are pinned
+    /// bit-identical, so search trajectories do not depend on the choice;
+    /// benches use this for like-for-like A/B timing and the scalar
+    /// (`N = 1`) width as a reference.
     pub fn with_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;
         self

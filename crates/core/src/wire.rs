@@ -93,8 +93,8 @@ pub enum ErrorCode {
     /// [`FleetSpec::Preset`] named none of [`KNOWN_PRESETS`].
     UnknownPreset,
     /// The frame parsed but the study is unrunnable: empty fleet, step
-    /// mismatch, oversized space, bad budget, infeasible cap, or an
-    /// unsupported objective set.
+    /// mismatch, oversized space, bad budget, infeasible cap, an
+    /// unsupported objective set, or a member recording SoC traces.
     InvalidRequest,
     /// A request line exceeded the server's frame-size limit. Terminal
     /// for the connection (framing is lost mid-line).
@@ -302,6 +302,12 @@ fn validate_scenario(scenario: &FleetScenario) -> Result<(), WireError> {
                 "member {}: step_minutes {} unsupported: the step must divide a day \
                  and either divide an hour or be a whole number of hours",
                 m.name, m.scenario.step_minutes
+            )));
+        }
+        if m.scenario.sim.record_soc {
+            return Err(WireError::invalid(format!(
+                "member {}: record_soc is unsupported: no frame carries SoC traces",
+                m.name
             )));
         }
         if m.scenario.step_minutes != step {

@@ -1,33 +1,32 @@
-//! The batched, structure-of-arrays evaluation engine.
+//! The single-site batched evaluation engine.
 //!
 //! [`simulate_year`](crate::simulate_year) walks the year once per
 //! composition: every candidate re-streams the site's PV / wind / CI /
-//! price arrays and pays a `Box<dyn Storage>` virtual call on every step.
-//! That is fine for a handful of candidates and wasteful for a sweep: the
-//! paper's exhaustive baseline alone is 1,089 full-year simulations, and
-//! NSGA-II / successive halving evaluate cohorts of the same shape.
+//! price arrays. That is fine for a handful of candidates and wasteful for
+//! a sweep: the paper's exhaustive baseline alone is 1,089 full-year
+//! simulations, and NSGA-II / successive halving evaluate cohorts of the
+//! same shape.
 //!
-//! This module simulates a **batch** of compositions in a single time-major
-//! pass: the outer loop walks timesteps, the inner loop walks candidates,
-//! so each site sample is loaded once per step instead of once per step
-//! *per candidate*. Candidate state lives in flat vectors, batteries
-//! dispatch through the monomorphized [`StorageKernel`] enum (no virtual
-//! calls, no per-candidate allocation), and consecutive candidates sharing
-//! a `(wind, solar)` pair — all 9 battery variants of a grid point, in
-//! sweep order — share one generation/net-load computation per step.
+//! This module simulates a **batch** of compositions in a single
+//! time-major pass: the outer loop walks timesteps, the inner loop walks
+//! lane groups of candidates, so each site sample is loaded once per step
+//! instead of once per step *per candidate*. The pass is the lane walk of
+//! [`crate::simd`] run over a one-site cohort with peak tracking off — the
+//! same walk the [`fleet`](crate::fleet) engine runs over several sites.
 //! Batches are split into chunks evaluated in parallel; chunk results are
 //! reassembled in input order, so output is deterministic.
 //!
 //! ## Agreement guarantee
 //!
 //! The battery/dispatch recursion — everything that feeds back into state —
-//! runs the *same arithmetic* as the scalar path (it calls the same
-//! [`ClcBattery`] code), so simulated physics are bit-identical. Only the
-//! pure accumulators are reorganized (raw sums scaled once at the end
-//! instead of per step), which perturbs reported metrics by at most a few
-//! ulps. `tests/engine_agreement.rs` pins scalar, cosim and batch to a
-//! relative 1e-9 on every [`AnnualMetrics`] field, for full years and
-//! partial [`simulate_period`](crate::simulate_period) windows.
+//! runs the *same arithmetic* as `ClcBattery`, lane by lane, so simulated
+//! physics (SoC traces, battery cycles) are bit-identical to
+//! [`simulate_period`](crate::simulate_period). Only the pure accumulators
+//! are reorganized (raw sums scaled once at the end instead of per step),
+//! which perturbs reported metrics by at most a few ulps.
+//! `tests/engine_agreement.rs` pins scalar, cosim and batch to a relative
+//! 1e-9 on every [`AnnualMetrics`](crate::AnnualMetrics) field, for full
+//! years and partial windows.
 //!
 //! ## Evaluator abstraction
 //!
@@ -36,173 +35,23 @@
 //! engine of choice; [`ScalarEvaluator`] wraps the reference path for
 //! cross-checks and one-off evaluations.
 
-use mgopt_storage::{ClcBattery, ClcParams, Storage};
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
-use mgopt_units::{Power, SimDuration, TimeSeries};
+use mgopt_units::TimeSeries;
 use rayon::prelude::*;
 
 use crate::composition::Composition;
-use crate::metrics::{AnnualMetrics, AnnualResult};
-use crate::simd::{split_residual, BatchBackend, F64x4, LaneGroup, LaneParams, LanePolicy, LANES};
+use crate::fleet::FleetSite;
+use crate::metrics::AnnualResult;
+use crate::simd::{walk, BatchBackend, WalkStages, CHUNK};
 use crate::simulate::SimConfig;
 use crate::site::SiteData;
 
-/// Candidates per parallel chunk. A multiple of the SIMD lane width
-/// ([`LANES`] = 4) lets every chunk but the last of a batch divide
-/// evenly into lane groups, so the scalar remainder loop only fires on
-/// the final chunk of a sweep; 64 keeps the old scheduling granularity /
-/// state-locality sweet spot (±1 candidate). Shared with the fleet
-/// engine ([`crate::fleet`]).
-pub(crate) const CHUNK: usize = 64;
-
-/// Monomorphized storage dispatch: an enum over the storage models a
-/// composition can carry, replacing `Box<dyn Storage + Send>` in hot loops.
-///
-/// Methods forward to the exact same [`ClcBattery`] arithmetic the scalar
-/// and cosim engines use — the kernel changes *dispatch*, not physics.
-#[derive(Debug, Clone)]
-pub enum StorageKernel {
-    /// No battery: refuses all power, zero state.
-    Null,
-    /// A C/L/C lithium-ion battery.
-    Clc(ClcBattery),
-}
-
-impl StorageKernel {
-    /// The kernel for a composition under the given battery parameters.
-    pub fn for_composition(comp: &Composition, params: &ClcParams) -> Self {
-        if comp.battery_kwh > 0.0 {
-            StorageKernel::Clc(ClcBattery::new(
-                mgopt_units::Energy::from_kwh(comp.battery_kwh),
-                params.clone(),
-            ))
-        } else {
-            StorageKernel::Null
-        }
-    }
-
-    /// Current state of charge (0 for [`StorageKernel::Null`]).
-    #[inline]
-    pub fn soc(&self) -> f64 {
-        match self {
-            StorageKernel::Null => 0.0,
-            StorageKernel::Clc(b) => b.soc(),
-        }
-    }
-
-    /// Request `power` for `dt`; returns the accepted/delivered power in kW.
-    #[inline]
-    pub fn update_kw(&mut self, power: Power, dt: SimDuration) -> f64 {
-        match self {
-            StorageKernel::Null => 0.0,
-            StorageKernel::Clc(b) => b.update(power, dt).kw(),
-        }
-    }
-
-    /// Equivalent full cycles so far.
-    pub fn equivalent_full_cycles(&self) -> f64 {
-        match self {
-            StorageKernel::Null => 0.0,
-            StorageKernel::Clc(b) => b.equivalent_full_cycles(),
-        }
-    }
-}
-
-/// Per-candidate raw accumulators: unscaled sums of per-step kW values.
-///
-/// The scalar path multiplies by `dt_h` and divides by 1e3 on every step;
-/// those are pure output transforms (nothing feeds back into simulation
-/// state), so the batch engine applies them once in [`BatchAcc::finish`].
-/// Shared with the fleet engine ([`crate::fleet`]) so per-site fleet
-/// metrics are bit-identical to single-site batch runs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BatchAcc {
-    pub(crate) production: f64,
-    pub(crate) import: f64,
-    pub(crate) export: f64,
-    pub(crate) direct: f64,
-    pub(crate) charge: f64,
-    pub(crate) discharge: f64,
-    pub(crate) unmet: f64,
-    pub(crate) op_weighted: f64,
-    pub(crate) cost_import: f64,
-    pub(crate) cost_export: f64,
-    pub(crate) self_sufficient_steps: usize,
-}
-
-impl BatchAcc {
-    /// Record one step. All arguments are kW-scale except `ci` (g/kWh) and
-    /// `price` ($/MWh); `demand` is the step's load.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &mut self,
-        gen: f64,
-        demand: f64,
-        import: f64,
-        export: f64,
-        p_storage: f64,
-        unmet: f64,
-        ci: f64,
-        price: f64,
-    ) {
-        self.production += gen;
-        self.import += import;
-        self.export += export;
-        self.direct += gen.min(demand).max(0.0);
-        if p_storage > 0.0 {
-            self.charge += p_storage;
-        } else {
-            self.discharge += -p_storage;
-        }
-        self.unmet += unmet;
-        self.op_weighted += import * ci;
-        self.cost_import += import * price;
-        self.cost_export += export * price;
-        if import <= 1e-9 {
-            self.self_sufficient_steps += 1;
-        }
-    }
-
-    /// Scale the raw sums into [`AnnualMetrics`] (mirrors the scalar
-    /// `Accumulators::finish` formulas).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        &self,
-        comp: &Composition,
-        cfg: &SimConfig,
-        battery_cycles: f64,
-        steps: usize,
-        days: f64,
-        demand_kwh: f64,
-        dt_h: f64,
-    ) -> AnnualMetrics {
-        let import_kwh = self.import * dt_h;
-        let op_kg = self.op_weighted * dt_h / 1e3;
-        let op_t_total = op_kg / 1e3;
-        let op_t_year = op_t_total * 365.0 / days.max(1e-9);
-        let demand = demand_kwh.max(1e-12);
-        let cost_usd = (self.cost_import - self.cost_export * cfg.export_price_factor) * dt_h / 1e3;
-        AnnualMetrics {
-            demand_mwh: demand_kwh / 1e3,
-            production_mwh: self.production * dt_h / 1e3,
-            grid_import_mwh: import_kwh / 1e3,
-            grid_export_mwh: self.export * dt_h / 1e3,
-            direct_use_mwh: self.direct * dt_h / 1e3,
-            battery_charge_mwh: self.charge * dt_h / 1e3,
-            battery_discharge_mwh: self.discharge * dt_h / 1e3,
-            unmet_mwh: self.unmet * dt_h / 1e3,
-            operational_t_per_day: op_t_total / days.max(1e-9),
-            operational_t_per_year: op_t_year,
-            embodied_t: cfg.embodied.total_t(comp),
-            coverage: (1.0 - import_kwh / demand).clamp(0.0, 1.0),
-            direct_coverage: (self.direct * dt_h / demand).clamp(0.0, 1.0),
-            battery_cycles,
-            self_sufficient_fraction: self.self_sufficient_steps as f64 / steps.max(1) as f64,
-            energy_cost_usd: cost_usd,
-        }
-    }
-}
+const STAGES: WalkStages = WalkStages {
+    prepare: Stage::BatchPrepare,
+    kernel: Stage::BatchKernel,
+    chunks: Counter::BatchChunks,
+    rows: Counter::BatchRows,
+};
 
 /// Simulate a batch of compositions for a full year in one time-major pass.
 ///
@@ -220,8 +69,7 @@ pub fn simulate_batch(
     simulate_batch_period(data, load_kw, comps, cfg, data.len())
 }
 
-/// [`simulate_batch`] with an explicit chunk-walk backend (the default
-/// follows the `MGOPT_SIMD` toggle).
+/// [`simulate_batch`] with an explicit lane width.
 pub fn simulate_batch_with_backend(
     data: &SiteData,
     load_kw: &TimeSeries,
@@ -245,15 +93,13 @@ pub fn simulate_batch_period(
     cfg: &SimConfig,
     n_steps: usize,
 ) -> Vec<AnnualResult> {
-    simulate_batch_period_with_backend(data, load_kw, comps, cfg, n_steps, BatchBackend::Auto)
+    simulate_batch_period_with_backend(data, load_kw, comps, cfg, n_steps, BatchBackend::default())
 }
 
-/// [`simulate_batch_period`] with an explicit chunk-walk backend.
-///
-/// The lane-wide walk is used when the backend selects it, SoC traces
-/// are off (the lane walk does not record them) and the step is
-/// non-zero; otherwise the scalar walk runs. Both walks are pinned
-/// bit-identical by `tests/engine_agreement.rs`.
+/// [`simulate_batch_period`] with an explicit lane width: a one-site
+/// cohort through the lane walk, peak tracking off. Both widths are
+/// pinned bit-identical by `tests/engine_agreement.rs`, SoC traces
+/// included.
 ///
 /// # Panics
 /// Same contract as [`simulate_batch_period`].
@@ -271,11 +117,7 @@ pub fn simulate_batch_period_with_backend(
     if comps.is_empty() {
         return Vec::new();
     }
-
     let n = n_steps.min(data.len());
-    // Demand is identical for every candidate: accumulate it once.
-    let demand_kwh: f64 = load_kw.values()[..n].iter().sum::<f64>() * data.step().hours();
-    let use_simd = backend.use_simd() && !cfg.record_soc && !data.step().is_zero();
 
     // Stage-total snapshots attribute this call's prepare/kernel time in
     // the emitted event (search layers call engines sequentially, so the
@@ -286,39 +128,24 @@ pub fn simulate_batch_period_with_backend(
             std::time::Instant::now(),
             telemetry::stage_ms(Stage::BatchPrepare),
             telemetry::stage_ms(Stage::BatchKernel),
-            telemetry::counter_value(Counter::SimdRows),
-            telemetry::counter_value(Counter::SimdRemainderRows),
         )
     });
 
-    let chunks: Vec<&[Composition]> = comps.chunks(CHUNK).collect();
-    let nested: Vec<Vec<AnnualResult>> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            if use_simd {
-                run_chunk_simd(data, load_kw, chunk, cfg, n, demand_kwh)
-            } else {
-                run_chunk(data, load_kw, chunk, cfg, n, demand_kwh)
-            }
-        })
-        .collect();
-    let out: Vec<AnnualResult> = nested.into_iter().flatten().collect();
+    let site = [FleetSite {
+        name: "",
+        data,
+        load: load_kw,
+        cfg,
+    }];
+    let (out, _) = walk(&site, comps, n, false, backend, STAGES);
 
-    if let Some((t0, prep0, kern0, simd0, rem0)) = trace {
+    if let Some((t0, prep0, kern0)) = trace {
         telemetry::Event::new("batch_eval")
             .u64("candidates", comps.len() as u64)
             .u64("steps", n as u64)
             .u64("chunks", comps.len().div_ceil(CHUNK) as u64)
             .u64("rows", (comps.len() * n) as u64)
-            .bool("simd", use_simd)
-            .u64(
-                "simd_rows",
-                telemetry::counter_value(Counter::SimdRows) - simd0,
-            )
-            .u64(
-                "simd_remainder_rows",
-                telemetry::counter_value(Counter::SimdRemainderRows) - rem0,
-            )
+            .bool("simd", backend == BatchBackend::Simd)
             .f64(
                 "prepare_ms",
                 telemetry::stage_ms(Stage::BatchPrepare) - prep0,
@@ -328,241 +155,6 @@ pub fn simulate_batch_period_with_backend(
             .emit();
     }
     out
-}
-
-/// Evaluate one chunk of candidates over `0..n` time-major.
-fn run_chunk(
-    data: &SiteData,
-    load_kw: &TimeSeries,
-    comps: &[Composition],
-    cfg: &SimConfig,
-    n: usize,
-    demand_kwh: f64,
-) -> Vec<AnnualResult> {
-    let m = comps.len();
-    let dt = data.step();
-    let dt_h = dt.hours();
-    let steps_per_hour = (3_600 / dt.secs()).max(1) as usize;
-
-    let prepare_span = telemetry::span(Stage::BatchPrepare);
-
-    let pv = data.pv_unit_kw.values();
-    let wind = data.wind_unit_kw.values();
-    let load = load_kw.values();
-    let ci = data.ci_g_per_kwh.values();
-    let price = data.price_usd_per_mwh.values();
-
-    // Flat per-candidate state (structure of arrays).
-    let solar_kw: Vec<f64> = comps.iter().map(|c| c.solar_kw).collect();
-    let wind_n: Vec<f64> = comps.iter().map(|c| c.wind_turbines as f64).collect();
-    let mut kernels: Vec<StorageKernel> = comps
-        .iter()
-        .map(|c| StorageKernel::for_composition(c, &cfg.battery))
-        .collect();
-    let mut accs: Vec<BatchAcc> = vec![BatchAcc::default(); m];
-    let mut soc_traces: Vec<Vec<f64>> = if cfg.record_soc {
-        // (Cloning a Vec drops its capacity, so build each one explicitly.)
-        (0..m)
-            .map(|_| Vec::with_capacity(n / steps_per_hour + 1))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Candidates with the same (wind, solar) pair share generation; in
-    // sweep order these are the battery-dimension runs of the grid.
-    // Membership is bitwise so group members' per-candidate generation
-    // expression reproduces the shared value exactly — what pins this
-    // walk bit-identical to the lane-wide walk, which computes
-    // generation per lane.
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for k in 1..=m {
-        if k == m
-            || solar_kw[k].to_bits() != solar_kw[start].to_bits()
-            || wind_n[k].to_bits() != wind_n[start].to_bits()
-        {
-            groups.push((start, k));
-            start = k;
-        }
-    }
-
-    let policy = cfg.policy;
-    let islanded = policy.is_islanded();
-
-    drop(prepare_span);
-    let kernel_span = telemetry::span(Stage::BatchKernel);
-
-    for i in 0..n {
-        let (pv_i, wind_i, load_i, ci_i, price_i) = (pv[i], wind[i], load[i], ci[i], price[i]);
-        let record_hour = cfg.record_soc && i % steps_per_hour == 0;
-        for &(g0, g1) in &groups {
-            let gen = solar_kw[g0] * pv_i + wind_n[g0] * wind_i;
-            let p_delta = gen - load_i;
-            for k in g0..g1 {
-                let request =
-                    policy.storage_request(Power::from_kw(p_delta), kernels[k].soc(), ci_i);
-                let p_storage = kernels[k].update_kw(request, dt);
-                let residual = p_delta - p_storage;
-                let (import, export, unmet) = if islanded && residual < 0.0 {
-                    (0.0, 0.0, -residual)
-                } else if residual < 0.0 {
-                    (-residual, 0.0, 0.0)
-                } else {
-                    (0.0, residual, 0.0)
-                };
-                accs[k].record(gen, load_i, import, export, p_storage, unmet, ci_i, price_i);
-                if record_hour {
-                    soc_traces[k].push(kernels[k].soc());
-                }
-            }
-        }
-    }
-
-    drop(kernel_span);
-    telemetry::add(Counter::BatchChunks, 1);
-    telemetry::add(Counter::BatchRows, (m * n) as u64);
-
-    let cycles: Vec<f64> = kernels.iter().map(|k| k.equivalent_full_cycles()).collect();
-    finish_chunk(comps, cfg, &accs, &cycles, soc_traces, n, dt_h, demand_kwh)
-}
-
-/// Evaluate one chunk of candidates over `0..n` with the lane-wide SIMD
-/// kernel: full lane groups walk four candidates at once, the tail (< 4
-/// candidates — only the batch's final chunk, since [`CHUNK`] is a lane
-/// multiple) runs the scalar kernel. Bit-identical to [`run_chunk`]:
-/// lanes are candidates, so per-candidate arithmetic order is unchanged.
-fn run_chunk_simd(
-    data: &SiteData,
-    load_kw: &TimeSeries,
-    comps: &[Composition],
-    cfg: &SimConfig,
-    n: usize,
-    demand_kwh: f64,
-) -> Vec<AnnualResult> {
-    let m = comps.len();
-    let dt = data.step();
-    let dt_h = dt.hours();
-
-    let prepare_span = telemetry::span(Stage::BatchPrepare);
-
-    let pv = data.pv_unit_kw.values();
-    let wind = data.wind_unit_kw.values();
-    let load = load_kw.values();
-    let ci = data.ci_g_per_kwh.values();
-    let price = data.price_usd_per_mwh.values();
-
-    let r0 = (m / LANES) * LANES;
-    let mut lanes: Vec<LaneGroup> = comps[..r0]
-        .chunks_exact(LANES)
-        .map(|quad| LaneGroup::new(quad, &cfg.battery))
-        .collect();
-    let lane_params = LaneParams::new(&cfg.battery, dt_h);
-    let lane_policy = LanePolicy::new(cfg.policy);
-
-    // Scalar remainder state for the tail candidates.
-    let rem = &comps[r0..];
-    let mut rem_kernels: Vec<StorageKernel> = rem
-        .iter()
-        .map(|c| StorageKernel::for_composition(c, &cfg.battery))
-        .collect();
-    let mut rem_accs: Vec<BatchAcc> = vec![BatchAcc::default(); rem.len()];
-
-    let policy = cfg.policy;
-    let islanded = policy.is_islanded();
-
-    drop(prepare_span);
-    let kernel_span = telemetry::span(Stage::BatchKernel);
-
-    for i in 0..n {
-        let (pv_i, wind_i, load_i, ci_i, price_i) = (pv[i], wind[i], load[i], ci[i], price[i]);
-        let pv_v = F64x4::splat(pv_i);
-        let wind_v = F64x4::splat(wind_i);
-        let load_v = F64x4::splat(load_i);
-        let ci_v = F64x4::splat(ci_i);
-        let price_v = F64x4::splat(price_i);
-        for g in &mut lanes {
-            // Per-lane generation: the same mul/mul/add as the scalar
-            // walk (no mul_add — rounding must match).
-            let gen = g.solar * pv_v + g.wind * wind_v;
-            let p_delta = gen - load_v;
-            let request = lane_policy.request(p_delta, g.kernel.soc(), ci_i);
-            let p_storage = g.kernel.step(request, &lane_params);
-            let residual = p_delta - p_storage;
-            let (import, export, unmet) = split_residual(residual, islanded);
-            g.acc
-                .record(gen, load_v, import, export, p_storage, unmet, ci_v, price_v);
-        }
-        for (k, comp) in rem.iter().enumerate() {
-            let gen = comp.solar_kw * pv_i + comp.wind_turbines as f64 * wind_i;
-            let p_delta = gen - load_i;
-            let request =
-                policy.storage_request(Power::from_kw(p_delta), rem_kernels[k].soc(), ci_i);
-            let p_storage = rem_kernels[k].update_kw(request, dt);
-            let residual = p_delta - p_storage;
-            let (import, export, unmet) = if islanded && residual < 0.0 {
-                (0.0, 0.0, -residual)
-            } else if residual < 0.0 {
-                (-residual, 0.0, 0.0)
-            } else {
-                (0.0, residual, 0.0)
-            };
-            rem_accs[k].record(gen, load_i, import, export, p_storage, unmet, ci_i, price_i);
-        }
-    }
-
-    drop(kernel_span);
-    telemetry::add(Counter::BatchChunks, 1);
-    telemetry::add(Counter::BatchRows, (m * n) as u64);
-    telemetry::add(Counter::SimdRows, (r0 * n) as u64);
-    telemetry::add(Counter::SimdRemainderRows, ((m - r0) * n) as u64);
-
-    let accs: Vec<BatchAcc> = (0..m)
-        .map(|k| {
-            if k < r0 {
-                lanes[k / LANES].acc.extract(k % LANES)
-            } else {
-                rem_accs[k - r0].clone()
-            }
-        })
-        .collect();
-    let cycles: Vec<f64> = (0..m)
-        .map(|k| {
-            if k < r0 {
-                lanes[k / LANES].kernel.equivalent_full_cycles(k % LANES)
-            } else {
-                rem_kernels[k - r0].equivalent_full_cycles()
-            }
-        })
-        .collect();
-    finish_chunk(comps, cfg, &accs, &cycles, Vec::new(), n, dt_h, demand_kwh)
-}
-
-/// Scale one chunk's raw accumulators into results — shared by the
-/// scalar and lane-wide walks so both feed the exact same formulas.
-#[allow(clippy::too_many_arguments)]
-fn finish_chunk(
-    comps: &[Composition],
-    cfg: &SimConfig,
-    accs: &[BatchAcc],
-    cycles: &[f64],
-    mut soc_traces: Vec<Vec<f64>>,
-    n: usize,
-    dt_h: f64,
-    demand_kwh: f64,
-) -> Vec<AnnualResult> {
-    let days = n as f64 * dt_h / 24.0;
-    (0..comps.len())
-        .map(|k| AnnualResult {
-            composition: comps[k],
-            metrics: accs[k].finish(&comps[k], cfg, cycles[k], n, days, demand_kwh, dt_h),
-            soc_trace_hourly: if cfg.record_soc {
-                std::mem::take(&mut soc_traces[k])
-            } else {
-                Vec::new()
-            },
-        })
-        .collect()
 }
 
 /// The capability search layers program against: scoring compositions at a
@@ -623,18 +215,17 @@ pub struct BatchEvaluator<'a> {
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// Create an evaluator over prepared inputs (the chunk walk follows
-    /// the `MGOPT_SIMD` toggle).
+    /// Create an evaluator over prepared inputs (the 4-lane walk).
     pub fn new(data: &'a SiteData, load: &'a TimeSeries, cfg: &'a SimConfig) -> Self {
         Self {
             data,
             load,
             cfg,
-            backend: BatchBackend::Auto,
+            backend: BatchBackend::default(),
         }
     }
 
-    /// Force a chunk-walk backend (A/B benches, agreement tests).
+    /// Force a lane width (A/B benches, agreement tests).
     pub fn with_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;
         self
@@ -667,9 +258,11 @@ impl Evaluator for BatchEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::AnnualMetrics;
     use crate::policy::DispatchPolicy;
     use crate::simulate::{simulate_period, simulate_year};
     use crate::site::Site;
+    use mgopt_units::SimDuration;
     use mgopt_workload::HpcWorkload;
 
     fn setup() -> (SiteData, TimeSeries) {
@@ -853,7 +446,7 @@ mod tests {
                 policy,
                 ..SimConfig::default()
             };
-            // Batch sizes exercising full lanes, the remainder loop and
+            // Batch sizes exercising full lanes, padded lanes and
             // multiple chunks; null-battery lanes included.
             let comps: Vec<Composition> = (0..67)
                 .map(|i| {
@@ -883,9 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn soc_recording_falls_back_to_the_scalar_walk() {
-        // The lane walk records no SoC traces; forcing it with
-        // record_soc on must still produce the scalar traces.
+    fn four_lane_walk_records_full_year_soc_traces() {
+        // The 4-lane walk records SoC per lane: a forced Simd pass with
+        // record_soc on yields one trace entry per hour.
         let (data, load) = setup();
         let cfg = SimConfig {
             record_soc: true,

@@ -17,12 +17,13 @@
 //! walk and reports fleet-level aggregates (peak *concurrent* grid import,
 //! fleet tCO2/day) alongside bit-identical per-site results.
 //!
-//! The batch and fleet engines walk candidates through the [`simd`]
-//! module's hand-rolled 4-lane kernel by default (`MGOPT_SIMD=0`
-//! disables it at runtime; [`BatchBackend`] forces a walk explicitly).
-//! Lanes hold *different candidates*, never different timesteps, so the
-//! lane walk is bit-identical to the scalar chunk walk — the scalar walk
-//! stays available as the agreement oracle.
+//! The batch and fleet engines are one walk: the [`simd`] module's
+//! lane-generic chunk walk, which packs `N` candidates per lane group
+//! (`N = 4` by default; [`BatchBackend::Scalar`] forces `N = 1`) and pads
+//! a cohort's final group with inert lanes. Lanes hold *different
+//! candidates*, never different timesteps, so both widths are
+//! bit-identical, SoC traces included; [`simulate_year`] and the cosim
+//! bus stay the independent oracles.
 //!
 //! ## Quick tour
 //!
@@ -61,15 +62,16 @@ pub mod site;
 
 pub use batch::{
     simulate_batch, simulate_batch_period, simulate_batch_period_with_backend,
-    simulate_batch_with_backend, BatchEvaluator, Evaluator, ScalarEvaluator, StorageKernel,
+    simulate_batch_with_backend, BatchEvaluator, Evaluator, ScalarEvaluator,
 };
 pub use composition::{Composition, CompositionSpace};
 pub use embodied::EmbodiedDb;
 pub use fleet::{FleetEvaluator, FleetMetrics, FleetResult, FleetSite};
 pub use metrics::{AnnualMetrics, AnnualResult};
 pub use policy::{shift_load_carbon_aware, DispatchPolicy};
-pub use simd::{simd_enabled, BatchBackend, F64x4, LANES};
+pub use simd::{BatchBackend, F64x4, LANES};
 pub use simulate::{
     build_cosim_microgrid, simulate_period, simulate_year, simulate_year_cosim, SimConfig,
+    StorageKernel,
 };
 pub use site::{Site, SiteData, SiteTemplate};

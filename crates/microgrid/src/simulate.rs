@@ -3,8 +3,8 @@
 //! Two equivalent paths:
 //!
 //! * [`simulate_year`] — a tight fixed-step loop over precomputed unit
-//!   profiles; this is what the optimizer sweeps (1,089 year-simulations
-//!   for the exhaustive baseline).
+//!   profiles, one composition at a time through [`StorageKernel`]; the
+//!   independent oracle the batch and fleet engines are pinned against.
 //! * [`simulate_year_cosim`] — the same physics expressed through the
 //!   `mgopt-cosim` actor/bus machinery, used by examples and as a
 //!   cross-check; the two agree to numerical precision (tested).
@@ -16,7 +16,6 @@ use mgopt_storage::{ClcBattery, ClcParams, NullStorage, Storage};
 use mgopt_units::{Power, SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::StorageKernel;
 use crate::composition::Composition;
 use crate::embodied::EmbodiedDb;
 use crate::metrics::{AnnualMetrics, AnnualResult};
@@ -46,6 +45,60 @@ impl Default for SimConfig {
             embodied: EmbodiedDb::paper(),
             export_price_factor: 0.3,
             record_soc: false,
+        }
+    }
+}
+
+/// Monomorphized storage dispatch for [`simulate_period`]: an enum over
+/// the storage models a composition can carry, replacing
+/// `Box<dyn Storage + Send>` in the loop.
+///
+/// Methods forward to the exact same [`ClcBattery`] arithmetic the cosim
+/// engine uses — the kernel changes *dispatch*, not physics.
+#[derive(Debug, Clone)]
+pub enum StorageKernel {
+    /// No battery: refuses all power, zero state.
+    Null,
+    /// A C/L/C lithium-ion battery.
+    Clc(ClcBattery),
+}
+
+impl StorageKernel {
+    /// The kernel for a composition under the given battery parameters.
+    pub fn for_composition(comp: &Composition, params: &ClcParams) -> Self {
+        if comp.battery_kwh > 0.0 {
+            StorageKernel::Clc(ClcBattery::new(
+                mgopt_units::Energy::from_kwh(comp.battery_kwh),
+                params.clone(),
+            ))
+        } else {
+            StorageKernel::Null
+        }
+    }
+
+    /// Current state of charge (0 for [`StorageKernel::Null`]).
+    #[inline]
+    pub fn soc(&self) -> f64 {
+        match self {
+            StorageKernel::Null => 0.0,
+            StorageKernel::Clc(b) => b.soc(),
+        }
+    }
+
+    /// Request `power` for `dt`; returns the accepted/delivered power in kW.
+    #[inline]
+    pub fn update_kw(&mut self, power: Power, dt: SimDuration) -> f64 {
+        match self {
+            StorageKernel::Null => 0.0,
+            StorageKernel::Clc(b) => b.update(power, dt).kw(),
+        }
+    }
+
+    /// Equivalent full cycles so far.
+    pub fn equivalent_full_cycles(&self) -> f64 {
+        match self {
+            StorageKernel::Null => 0.0,
+            StorageKernel::Clc(b) => b.equivalent_full_cycles(),
         }
     }
 }
@@ -86,8 +139,7 @@ pub fn simulate_period(
     let dt = data.step();
     let steps_per_hour = (3_600 / data.step().secs()).max(1) as usize;
 
-    // Enum dispatch (same kernel as the batch engine): no allocation, no
-    // virtual call per step.
+    // Enum dispatch: no allocation, no virtual call per step.
     let mut battery = StorageKernel::for_composition(comp, &cfg.battery);
 
     let pv = data.pv_unit_kw.values();

@@ -242,8 +242,8 @@ fn trace_epoch() -> &'static Instant {
 /// The named hot-path stages spans aggregate into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Single-site batch engine: per-chunk state setup (SoA vectors,
-    /// storage kernels, shared-generation groups).
+    /// Single-site batch engine: per-chunk state setup (lane groups,
+    /// battery kernels, accumulators).
     BatchPrepare,
     /// Single-site batch engine: the time-major candidate loop.
     BatchKernel,
@@ -251,8 +251,6 @@ pub enum Stage {
     FleetPrepare,
     /// Fleet engine: the interleaved time-major loop (incl. peak fold).
     FleetKernel,
-    /// Search-layer bookkeeping: non-dominated sorting and selection.
-    SearchSort,
     /// Optimization daemon: one whole study request, from accepted frame
     /// to final result frame (worker-thread CPU time; concurrent studies
     /// sum).
@@ -261,12 +259,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 5] = [
         Stage::BatchPrepare,
         Stage::BatchKernel,
         Stage::FleetPrepare,
         Stage::FleetKernel,
-        Stage::SearchSort,
         Stage::ServerStudy,
     ];
 
@@ -277,7 +274,6 @@ impl Stage {
             Stage::BatchKernel => "batch.kernel",
             Stage::FleetPrepare => "fleet.prepare",
             Stage::FleetKernel => "fleet.kernel",
-            Stage::SearchSort => "search.sort",
             Stage::ServerStudy => "server.study",
         }
     }
@@ -288,8 +284,7 @@ impl Stage {
             Stage::BatchKernel => 1,
             Stage::FleetPrepare => 2,
             Stage::FleetKernel => 3,
-            Stage::SearchSort => 4,
-            Stage::ServerStudy => 5,
+            Stage::ServerStudy => 4,
         }
     }
 }
@@ -388,13 +383,6 @@ pub enum Counter {
     CacheHits,
     /// NSGA-II memo-cache misses (genomes actually evaluated).
     CacheMisses,
-    /// Candidate-rows evaluated lane-wide by the SIMD chunk walk (both
-    /// engines). With the remainder counter this makes lane utilization
-    /// observable: `simd.rows / (simd.rows + simd.remainder_rows)`.
-    SimdRows,
-    /// Candidate-rows the SIMD chunk walk handed to its scalar remainder
-    /// loop (tail candidates that don't fill a lane group).
-    SimdRemainderRows,
     /// Prepared-scenario cache hits (study requests answered from an
     /// already-synthesized `Arc<PreparedScenario>`).
     PrepCacheHits,
@@ -409,15 +397,13 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 10] = [
         Counter::BatchChunks,
         Counter::BatchRows,
         Counter::FleetChunks,
         Counter::FleetRows,
         Counter::CacheHits,
         Counter::CacheMisses,
-        Counter::SimdRows,
-        Counter::SimdRemainderRows,
         Counter::PrepCacheHits,
         Counter::PrepCacheMisses,
         Counter::PrepTemplateHits,
@@ -433,8 +419,6 @@ impl Counter {
             Counter::FleetRows => "fleet.rows",
             Counter::CacheHits => "cache.hits",
             Counter::CacheMisses => "cache.misses",
-            Counter::SimdRows => "simd.rows",
-            Counter::SimdRemainderRows => "simd.remainder_rows",
             Counter::PrepCacheHits => "prep_cache.hits",
             Counter::PrepCacheMisses => "prep_cache.misses",
             Counter::PrepTemplateHits => "prep_template.hits",
@@ -450,12 +434,10 @@ impl Counter {
             Counter::FleetRows => 3,
             Counter::CacheHits => 4,
             Counter::CacheMisses => 5,
-            Counter::SimdRows => 6,
-            Counter::SimdRemainderRows => 7,
-            Counter::PrepCacheHits => 8,
-            Counter::PrepCacheMisses => 9,
-            Counter::PrepTemplateHits => 10,
-            Counter::PrepTemplateMisses => 11,
+            Counter::PrepCacheHits => 6,
+            Counter::PrepCacheMisses => 7,
+            Counter::PrepTemplateHits => 8,
+            Counter::PrepTemplateMisses => 9,
         }
     }
 }

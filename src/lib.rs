@@ -35,7 +35,7 @@
 //! | grid | [`gridcarbon`] | carbon-intensity + price signals |
 //! | load | [`workload`] | Perlmutter-like power traces |
 //! | bus | [`cosim`] | Vessim-style co-simulation engine |
-//! | domain | [`microgrid`] | compositions, policies, year simulators, 4-lane SIMD kernel (`MGOPT_SIMD`) |
+//! | domain | [`microgrid`] | compositions, policies, year simulators, lane-generic chunk walk |
 //! | search | [`optimizer`] | NSGA-II, exhaustive, Pareto tooling |
 //! | framework | [`core`] | scenarios, studies, paper experiments, wire format, prepared cache |
 //! | service | [`server`] | optimization daemon: concurrent studies over the wire protocol |
@@ -52,17 +52,18 @@
 //!   machinery, used by examples and as a cross-check;
 //! * **batch** — [`microgrid::simulate_batch`] behind the
 //!   [`microgrid::Evaluator`] abstraction: a time-major columnar pass over
-//!   a whole cohort of compositions at once (monomorphized battery
-//!   kernels, shared generation profiles, chunk-level parallelism).
+//!   a whole cohort of compositions at once (lane groups of candidates,
+//!   chunk-level parallelism).
 //!
-//! The batch and fleet engines walk chunks through the hand-rolled 4-lane
-//! SIMD kernel in [`microgrid::simd`] by default. **Lanes are candidates,
-//! never timesteps**: each lane advances a different composition through
-//! the exact scalar arithmetic, so the lane walk is bit-identical to the
-//! scalar chunk walk (pinned by `tests/engine_agreement.rs`, not merely
-//! ≤1e-9). `MGOPT_SIMD=0` forces the scalar walk at runtime;
-//! [`microgrid::BatchBackend`] forces either walk programmatically, which
-//! is how the bench bins record their SIMD-vs-scalar A/B.
+//! The batch and fleet engines run one chunk walk, the lane-generic walk
+//! in [`microgrid::simd`]: it packs `N` candidates per lane group, `N = 4`
+//! by default, and pads a cohort's final group with inert lanes whose
+//! results are never read. **Lanes are candidates, never timesteps**:
+//! each lane advances a different composition through the exact scalar
+//! arithmetic, so the width does not change a bit of any result, SoC
+//! traces included (pinned by `tests/engine_agreement.rs`, not merely
+//! ≤1e-9). [`microgrid::BatchBackend`] forces `N = 1` (`Scalar`) or
+//! `N = 4` (`Simd`), which is how the bench bins record their A/B.
 //!
 //! Every search layer funnels cohorts through
 //! `optimizer::Problem::evaluate_batch`, so NSGA-II generations,
@@ -107,7 +108,7 @@
 //! only the seeded half of preparation), accepts newline-delimited JSON study requests over TCP
 //! (connections served concurrently, up to `MGOPT_ACCEPTORS` at once),
 //! stdin/stdout, or an in-process pipe, and multiplexes concurrent
-//! NSGA-II studies over the shared SIMD batch engine — streaming per
+//! NSGA-II studies over the shared batch engine — streaming per
 //! generation `Front` updates and a final `Done` frame per request. The
 //! versioned wire format with strict-reject parsing lives in
 //! `core::wire`; results depend only on `(fleet, budget, seed)`, never
@@ -137,7 +138,8 @@
 //! `WIRE_VERSION`), `UnknownPreset` (a `FleetSpec::Preset` name the
 //! server does not know), `InvalidRequest` (well-formed but semantically
 //! impossible studies: empty fleets, mismatched step clocks, spaces
-//! exceeding the u16 genome), `Oversized` (a request line longer than
+//! exceeding the u16 genome, members asking for SoC traces no frame
+//! carries), `Oversized` (a request line longer than
 //! `MGOPT_SERVER_MAX_FRAME`), `UnknownStudy` (a `Cancel` naming an id
 //! that is not in flight on that connection — never seen, or already
 //! terminal), and `Internal` (the study panicked or its worker died; the

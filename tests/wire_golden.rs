@@ -317,26 +317,34 @@ fn rejected_requests_produce_the_documented_error_codes() {
     ];
     // Well-formed frames whose study the daemon cannot run: a step the
     // weather synthesizer cannot honour must be refused up front, never
-    // reach preparation.
+    // reach preparation; SoC traces are never sent back, so a member that
+    // asks for them is refused rather than recorded and dropped.
+    let inline_study = |fleet: FleetScenario| {
+        encode_request(&frame(
+            "x",
+            Request::Study(StudyRequest {
+                fleet: FleetSpec::Inline(fleet),
+                space: None,
+                objectives: None,
+                budget: StudyBudget {
+                    population_size: 4,
+                    max_trials: 8,
+                    seed: 1,
+                },
+                peak_cap_kw: None,
+                stream: false,
+            }),
+        ))
+    };
     let mut odd_step = FleetScenario::paper();
     odd_step.members.truncate(1);
     odd_step.members[0].scenario.step_minutes = 7;
-    let odd_step = encode_request(&frame(
-        "x",
-        Request::Study(StudyRequest {
-            fleet: FleetSpec::Inline(odd_step),
-            space: None,
-            objectives: None,
-            budget: StudyBudget {
-                population_size: 4,
-                max_trials: 8,
-                seed: 1,
-            },
-            peak_cap_kw: None,
-            stream: false,
-        }),
-    ));
-    let resolved: &[(&str, ErrorCode)] = &[(&odd_step, InvalidRequest)];
+    let odd_step = inline_study(odd_step);
+    let mut soc_traces = FleetScenario::paper();
+    soc_traces.members[1].scenario.sim.record_soc = true;
+    let soc_traces = inline_study(soc_traces);
+    let resolved: &[(&str, ErrorCode)] =
+        &[(&odd_step, InvalidRequest), (&soc_traces, InvalidRequest)];
     for (line, want) in cases.iter().chain(resolved) {
         // The daemon's admission path: strict parse, then study resolution.
         let err = parse_request(line)
