@@ -6,57 +6,26 @@
 //! cargo run --release -p mgopt-bench --bin bench_sweep
 //! ```
 //!
-//! Writes the artifact to the repository root (next to `ROADMAP.md`), and
-//! prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the space for
-//! smoke runs (the artifact then records the reduced size).
+//! Every timing is a [`measure`] median with its MAD over interleaved
+//! samples, and every speedup a ratio of medians. Writes the
+//! [`SweepBench`] artifact to the repository root (next to `ROADMAP.md`),
+//! and prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the
+//! space for smoke runs (the artifact then records the reduced size).
 
-use std::path::PathBuf;
-use std::time::Instant;
-
-use mgopt_bench::ThreadScaling;
+use mgopt_bench::{measure, SweepBench};
 use mgopt_core::{sweep_all, sweep_all_scalar, sweep_all_with_backend};
 use mgopt_microgrid::BatchBackend;
-use serde::Serialize;
 
-/// The artifact schema.
-#[derive(Debug, Serialize)]
-struct SweepBench {
-    site: String,
-    compositions: usize,
-    steps_per_year: usize,
-    samples: usize,
-    scalar_ms_median: f64,
-    batched_ms_median: f64,
-    speedup: f64,
-    max_rel_error: f64,
-    threads: usize,
-    /// Forced-SIMD batched sweep, median ms.
-    simd_ms_median: f64,
-    /// Forced-scalar batched sweep, median ms.
-    scalar_batch_ms_median: f64,
-    /// `scalar_batch_ms_median / simd_ms_median` — the lane kernel's gain
-    /// over the scalar chunk walk, like-for-like.
-    simd_speedup: f64,
-    /// Agreement between the forced walks. The lanes-are-candidates design
-    /// makes this exactly `0.0`, not merely ≤1e-9; `bench_guard` rejects
-    /// anything else.
-    simd_max_rel_error: f64,
-    /// Full batched sweep re-timed at each `MGOPT_THREADS` pool size.
-    scaling: Vec<ThreadScaling>,
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    samples[samples.len() / 2]
-}
+/// Samples per variant: a multiple of 2, so each A/B variant leads
+/// equally often.
+const SAMPLES: usize = 6;
 
 fn main() {
     let scenario = mgopt_bench::houston();
     let compositions = scenario.config.space.len();
-    let samples = 5usize;
 
-    // Warm-up + agreement check: the shared symmetric tolerance over
-    // every metrics field (not an argument-order-dependent subset).
+    // Agreement check: the shared symmetric tolerance over every metrics
+    // field (not an argument-order-dependent subset).
     let scalar_results = sweep_all_scalar(&scenario);
     let batched_results = sweep_all(&scenario);
     let mut max_rel_error = 0.0f64;
@@ -73,23 +42,19 @@ fn main() {
         max_rel_error <= 1e-9,
         "engines disagree: max relative error {max_rel_error:e}"
     );
+    let t = measure(SAMPLES, 2, |v, _| match v {
+        0 => {
+            std::hint::black_box(sweep_all_scalar(&scenario));
+        }
+        _ => {
+            std::hint::black_box(sweep_all(&scenario));
+        }
+    });
+    let (scalar, batched) = (t[0], t[1]);
 
-    let mut scalar_ms = Vec::with_capacity(samples);
-    let mut batched_ms = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(sweep_all_scalar(&scenario));
-        scalar_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        let t0 = Instant::now();
-        std::hint::black_box(sweep_all(&scenario));
-        batched_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-
-    // SIMD vs scalar chunk walk, like-for-like: both timings use the
-    // batched engine with the backend forced, alternating A/B like the
-    // main loop. The walks are pinned bit-identical, so the agreement
-    // check demands exact equality.
+    // SIMD vs scalar chunk walk, like-for-like: both variants use the
+    // batched engine with the backend forced. The walks are pinned
+    // bit-identical, so the agreement check demands exact equality.
     let simd_results = sweep_all_with_backend(&scenario, BatchBackend::Simd);
     let scalar_walk_results = sweep_all_with_backend(&scenario, BatchBackend::Scalar);
     let mut simd_max_rel_error = 0.0f64;
@@ -103,64 +68,59 @@ fn main() {
         simd_max_rel_error, 0.0,
         "SIMD walk must be bit-identical to the scalar walk"
     );
-    let mut simd_ms = Vec::with_capacity(samples);
-    let mut scalar_walk_ms = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(sweep_all_with_backend(&scenario, BatchBackend::Simd));
-        simd_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        let t0 = Instant::now();
-        std::hint::black_box(sweep_all_with_backend(&scenario, BatchBackend::Scalar));
-        scalar_walk_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let simd_med = median_ms(&mut simd_ms);
-    let scalar_walk_med = median_ms(&mut scalar_walk_ms);
+    let backends = [BatchBackend::Simd, BatchBackend::Scalar];
+    let t = measure(SAMPLES, 2, |v, _| {
+        std::hint::black_box(sweep_all_with_backend(&scenario, backends[v]));
+    });
+    let (simd, scalar_walk) = (t[0], t[1]);
 
     // Multi-thread scaling of the default batched sweep.
-    let scaling = mgopt_bench::scaling_sweep(&mgopt_bench::thread_counts(), 3, || {
+    let scaling = mgopt_bench::scaling_sweep(SAMPLES, || {
         std::hint::black_box(sweep_all(&scenario));
     });
 
-    let scalar_med = median_ms(&mut scalar_ms);
-    let batched_med = median_ms(&mut batched_ms);
     let bench = SweepBench {
         site: scenario.site_name().to_string(),
         compositions,
         steps_per_year: scenario.data.len(),
-        samples,
-        scalar_ms_median: scalar_med,
-        batched_ms_median: batched_med,
-        speedup: scalar_med / batched_med,
-        max_rel_error,
-        // The pool size parallel calls actually use — `unwrap_or(1)` over
-        // core detection used to mislabel entries on multi-core hosts
-        // whenever detection failed.
         threads: rayon::current_num_threads(),
-        simd_ms_median: simd_med,
-        scalar_batch_ms_median: scalar_walk_med,
-        simd_speedup: scalar_walk_med / simd_med,
+        scalar,
+        batched,
+        speedup: scalar.median_ms / batched.median_ms,
+        max_rel_error,
+        simd,
+        scalar_walk,
+        simd_speedup: scalar_walk.median_ms / simd.median_ms,
         simd_max_rel_error,
         scaling,
     };
 
     println!(
-        "sweep of {} compositions ({} steps): scalar {:.1} ms, batched {:.1} ms, speedup {:.2}x",
-        bench.compositions, bench.steps_per_year, scalar_med, batched_med, bench.speedup
+        "sweep of {} compositions ({} steps): scalar {:.1} ± {:.1} ms, \
+         batched {:.1} ± {:.1} ms (median ± MAD), speedup {:.2}x",
+        bench.compositions,
+        bench.steps_per_year,
+        scalar.median_ms,
+        scalar.mad_ms,
+        batched.median_ms,
+        batched.mad_ms,
+        bench.speedup
     );
     println!(
-        "simd walk {:.1} ms vs scalar walk {:.1} ms: {:.2}x, max rel err {:e}",
-        simd_med, scalar_walk_med, bench.simd_speedup, simd_max_rel_error
+        "simd walk {:.1} ± {:.1} ms vs scalar walk {:.1} ± {:.1} ms: {:.2}x, max rel err {:e}",
+        simd.median_ms,
+        simd.mad_ms,
+        scalar_walk.median_ms,
+        scalar_walk.mad_ms,
+        bench.simd_speedup,
+        simd_max_rel_error
     );
     for p in &bench.scaling {
         println!(
-            "threads {} (effective {}): {:.1} ms",
-            p.threads_requested, p.threads_effective, p.ms_min
+            "threads {}: {:.1} ± {:.1} ms",
+            p.threads, p.timing.median_ms, p.timing.mad_ms
         );
     }
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_sweep.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench("BENCH_sweep.json", &bench);
 }

@@ -10,58 +10,23 @@
 //! cargo run --release -p mgopt-bench --bin fleet_search
 //! ```
 //!
-//! Writes the artifact to the repository root (next to `BENCH_fleet.json`)
-//! and prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the
-//! per-site spaces for smoke runs.
+//! Every timing is a [`measure`] median with its MAD over interleaved
+//! samples, and every speedup a ratio of medians. The telemetry overhead
+//! compares the batched search with collection on and off, interleaved in
+//! one `measure` call with equal sample counts. Writes the
+//! [`FleetSearchBench`] artifact to the repository root (next to
+//! `BENCH_fleet.json`) and prints the same numbers to stdout.
+//! `MGOPT_FAST=1` shrinks the per-site spaces for smoke runs.
 
-use std::path::PathBuf;
-use std::time::Instant;
-
-use mgopt_bench::{TelemetrySection, ThreadScaling};
+use mgopt_bench::{measure, FleetSearchBench};
 use mgopt_core::{FleetProblem, FleetScenario};
 use mgopt_microgrid::BatchBackend;
 use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, Problem};
 use mgopt_telemetry as telemetry;
-use serde::Serialize;
 
-/// The artifact schema. `agreement` records that the batched and scalar
-/// searches produced bit-identical trial histories (same seeds, and the
-/// fleet engine's cohort results are pinned to single-plan runs). The
-/// `telemetry_*` fields are the instrumentation A/B: the same batched
-/// search re-timed with collection on, plus the collected section.
-#[derive(Debug, Serialize)]
-struct FleetSearchBench {
-    sites: Vec<String>,
-    space_per_site: Vec<usize>,
-    plan_space: usize,
-    population: usize,
-    max_trials: usize,
-    unique_evaluations: usize,
-    cache_hit_rate: f64,
-    front_size: usize,
-    samples: usize,
-    batched_ms_min: f64,
-    scalar_ms_min: f64,
-    speedup: f64,
-    agreement: bool,
-    threads: usize,
-    /// The batched search forced onto the SIMD walk, min ms.
-    simd_ms_min: f64,
-    /// The batched search forced onto the scalar walk, min ms.
-    scalar_walk_ms_min: f64,
-    /// `scalar_walk_ms_min / simd_ms_min` on the search path. Search time
-    /// includes NSGA-II bookkeeping, so this is lower than the raw kernel
-    /// gain in `BENCH_sweep.json`.
-    simd_speedup: f64,
-    /// `true` when the forced-SIMD and forced-scalar searches produced
-    /// bit-identical trial histories (same seeds + bit-identical engines).
-    simd_agreement: bool,
-    /// Full batched search re-timed at each `MGOPT_THREADS` pool size.
-    scaling: Vec<ThreadScaling>,
-    telemetry_enabled_ms_min: f64,
-    telemetry_overhead_pct: f64,
-    telemetry: TelemetrySection,
-}
+/// Samples per variant: a multiple of both 3 and 2, so each variant of
+/// the three-way and the two-way rotation leads equally often.
+const SAMPLES: usize = 6;
 
 /// Hides a problem's batched override so cohorts fall back to the
 /// optimizer's default rayon-parallel scalar path — the baseline every
@@ -82,11 +47,9 @@ impl Problem for ScalarFallback<'_> {
     }
 }
 
-use mgopt_bench::min_ms;
-
 fn main() {
     // Resolve MGOPT_TRACE first (installing any requested sink), then force
-    // collection off so the A/B timing below starts from the disabled path.
+    // collection off so only the traced variant below collects.
     telemetry::enabled();
     telemetry::set_enabled(false);
 
@@ -96,7 +59,7 @@ fn main() {
     }
     let fleet = scenario.prepare();
     let problem = FleetProblem::new(&fleet);
-    let scalar = ScalarFallback(&problem);
+    let fallback = ScalarFallback(&problem);
     let config = Nsga2Config {
         population_size: 50,
         max_trials: 350,
@@ -104,96 +67,48 @@ fn main() {
         ..Nsga2Config::default()
     };
     let optimizer = Nsga2Optimizer::new(config.clone());
-    let samples = 7usize;
 
-    // Warm-up + agreement: identical seeds must yield identical histories.
+    // Agreement: identical seeds must yield identical histories.
     let batched_run = optimizer.run(&problem);
-    let scalar_run = optimizer.run(&scalar);
-    let agreement = batched_run.history == scalar_run.history;
+    let agreement = batched_run.history == optimizer.run(&fallback).history;
     assert!(
         agreement,
         "batched and scalar fleet searches diverged — the fleet engine \
          broke its cohort/single-plan agreement guarantee"
     );
-
-    let mut batched_ms = Vec::with_capacity(samples);
-    let mut scalar_ms = Vec::with_capacity(samples);
-    // Alternate A/B order per sample so clock drift cannot systematically
-    // favor either path.
-    for k in 0..samples {
-        let time = |f: &dyn Fn() -> usize, out: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            out.push(t0.elapsed().as_secs_f64() * 1e3);
-        };
-        let run_batched = || optimizer.run(&problem).history.len();
-        let run_scalar = || optimizer.run(&scalar).history.len();
-        if k % 2 == 0 {
-            time(&run_batched, &mut batched_ms);
-            time(&run_scalar, &mut scalar_ms);
-        } else {
-            time(&run_scalar, &mut scalar_ms);
-            time(&run_batched, &mut batched_ms);
-        }
-    }
-
-    let batched_min = min_ms(&batched_ms);
-    let scalar_min = min_ms(&scalar_ms);
+    // Batched, fallback, and batched with telemetry collection on (spans,
+    // counters, and events to any MGOPT_TRACE sink). Only the traced runs
+    // feed the telemetry section.
+    telemetry::reset_stats();
+    let t = measure(SAMPLES, 3, |v, _| {
+        let problem: &dyn Problem = if v == 1 { &fallback } else { &problem };
+        telemetry::set_enabled(v == 2);
+        std::hint::black_box(optimizer.run(problem).history.len());
+        telemetry::set_enabled(false);
+    });
+    let (batched, scalar, traced) = (t[0], t[1], t[2]);
+    let section = mgopt_bench::collect_telemetry_section();
+    let overhead_pct = (traced.median_ms / batched.median_ms - 1.0) * 1e2;
 
     // SIMD vs scalar chunk walk on the search path: the same NSGA-II run
     // with the fleet engine's backend forced either way. Bit-identical
     // engines + identical seeds must reproduce the same trial history.
-    let simd_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Simd);
-    let scalar_walk_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Scalar);
-    let simd_agreement =
-        optimizer.run(&simd_problem).history == optimizer.run(&scalar_walk_problem).history;
+    let walks = [BatchBackend::Simd, BatchBackend::Scalar]
+        .map(|backend| FleetProblem::new(&fleet).with_backend(backend));
+    let simd_agreement = optimizer.run(&walks[0]).history == optimizer.run(&walks[1]).history;
     assert!(
         simd_agreement,
         "SIMD-backed search diverged from the scalar-walk search"
     );
-    let mut simd_ms = Vec::with_capacity(samples);
-    let mut scalar_walk_ms = Vec::with_capacity(samples);
-    for k in 0..samples {
-        let time = |f: &dyn Fn() -> usize, out: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            out.push(t0.elapsed().as_secs_f64() * 1e3);
-        };
-        let run_simd = || optimizer.run(&simd_problem).history.len();
-        let run_scalar_walk = || optimizer.run(&scalar_walk_problem).history.len();
-        if k % 2 == 0 {
-            time(&run_simd, &mut simd_ms);
-            time(&run_scalar_walk, &mut scalar_walk_ms);
-        } else {
-            time(&run_scalar_walk, &mut scalar_walk_ms);
-            time(&run_simd, &mut simd_ms);
-        }
-    }
-    let simd_min = min_ms(&simd_ms);
-    let scalar_walk_min = min_ms(&scalar_walk_ms);
+    let t = measure(SAMPLES, 2, |v, _| {
+        std::hint::black_box(optimizer.run(&walks[v]).history.len());
+    });
+    let (simd, scalar_walk) = (t[0], t[1]);
 
     // Multi-thread scaling of the batched search.
-    let scaling = mgopt_bench::scaling_sweep(&mgopt_bench::thread_counts(), 3, || {
+    let scaling = mgopt_bench::scaling_sweep(SAMPLES, || {
         std::hint::black_box(optimizer.run(&problem).history.len());
     });
-
-    // Telemetry A/B: the same batched search with collection ON (spans,
-    // counters, and events to any MGOPT_TRACE sink). The disabled-path
-    // baseline is `batched_min` above — the overhead of telemetry-off
-    // instrumentation is already inside it, and the enabled re-run bounds
-    // the cost of switching collection on.
-    telemetry::reset_stats();
-    telemetry::set_enabled(true);
-    let mut enabled_ms = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        std::hint::black_box(optimizer.run(&problem).history.len());
-        enabled_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let section = mgopt_bench::collect_telemetry_section();
-    telemetry::set_enabled(false);
-    let enabled_min = min_ms(&enabled_ms);
-    let overhead_pct = (enabled_min / batched_min - 1.0) * 1e2;
 
     let bench = FleetSearchBench {
         sites: fleet.names.clone(),
@@ -204,30 +119,31 @@ fn main() {
         unique_evaluations: batched_run.unique_evaluations,
         cache_hit_rate: batched_run.cache_hit_rate().unwrap_or(0.0),
         front_size: batched_run.pareto_front().len(),
-        samples,
-        batched_ms_min: batched_min,
-        scalar_ms_min: scalar_min,
-        speedup: scalar_min / batched_min,
-        agreement,
         threads: rayon::current_num_threads(),
-        simd_ms_min: simd_min,
-        scalar_walk_ms_min: scalar_walk_min,
-        simd_speedup: scalar_walk_min / simd_min,
+        batched,
+        scalar,
+        speedup: scalar.median_ms / batched.median_ms,
+        agreement,
+        simd,
+        scalar_walk,
+        simd_speedup: scalar_walk.median_ms / simd.median_ms,
         simd_agreement,
         scaling,
-        telemetry_enabled_ms_min: enabled_min,
+        traced,
         telemetry_overhead_pct: overhead_pct,
         telemetry: section,
     };
 
     println!(
-        "NSGA-II over {} fleet plans ({} trials, {} unique): batched {:.1} ms, \
-         rayon-scalar fallback {:.1} ms, speedup {:.2}x",
+        "NSGA-II over {} fleet plans ({} trials, {} unique): batched {:.1} ± {:.1} ms, \
+         rayon-scalar fallback {:.1} ± {:.1} ms (median ± MAD), speedup {:.2}x",
         bench.plan_space,
         bench.max_trials,
         bench.unique_evaluations,
-        batched_min,
-        scalar_min,
+        batched.median_ms,
+        batched.mad_ms,
+        scalar.median_ms,
+        scalar.mad_ms,
         bench.speedup
     );
     println!(
@@ -238,19 +154,24 @@ fn main() {
         bench.cache_hit_rate * 1e2
     );
     println!(
-        "simd-backed search {:.1} ms vs scalar-walk search {:.1} ms: {:.2}x, \
-         histories identical: {}",
-        simd_min, scalar_walk_min, bench.simd_speedup, simd_agreement
+        "simd-backed search {:.1} ± {:.1} ms vs scalar-walk search {:.1} ± {:.1} ms: \
+         {:.2}x, histories identical: {}",
+        simd.median_ms,
+        simd.mad_ms,
+        scalar_walk.median_ms,
+        scalar_walk.mad_ms,
+        bench.simd_speedup,
+        simd_agreement
     );
     for p in &bench.scaling {
         println!(
-            "threads {} (effective {}): {:.1} ms",
-            p.threads_requested, p.threads_effective, p.ms_min
+            "threads {}: {:.1} ± {:.1} ms",
+            p.threads, p.timing.median_ms, p.timing.mad_ms
         );
     }
     println!(
-        "telemetry: enabled run {enabled_min:.1} ms vs disabled {batched_min:.1} ms \
-         ({overhead_pct:+.1}% — timing noise dominates at near-zero overhead)"
+        "telemetry: traced {:.1} ± {:.1} ms vs untraced {:.1} ± {:.1} ms ({overhead_pct:+.1}%)",
+        traced.median_ms, traced.mad_ms, batched.median_ms, batched.mad_ms
     );
     for stage in &bench.telemetry.stages {
         println!(
@@ -263,8 +184,5 @@ fn main() {
         bench.telemetry.evals_per_sec
     );
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet_search.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_fleet_search.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench("BENCH_fleet_search.json", &bench);
 }

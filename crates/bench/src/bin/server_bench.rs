@@ -19,145 +19,29 @@
 //! process-wide `max_concurrent = 4` admission cap, plus one long
 //! streamed study that is cancelled after its first `Front` — recording
 //! queue depth, overlap, and that the cancelled study never produced a
-//! `Done` frame. `MGOPT_FAST=1` shrinks budgets for smoke runs;
+//! `Done` frame. The three phases are the interleaved variants of one
+//! [`measure`]; each times only its own window, not daemon start-up and
+//! teardown, and reports a median with its MAD; both speedups are ratios
+//! of medians. `MGOPT_FAST=1` shrinks budgets for smoke runs;
 //! `bench_guard` enforces the committed floors on both `speedup` numbers
-//! plus the peak/queue/agreement/cancel invariants.
+//! plus the peak/queue/agreement/cancel invariants of [`ServerBench`].
 
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
-use mgopt_core::wire::{
-    encode_request, FleetSpec, PlanPoint, Request, RequestFrame, Response, ResponseFrame,
-    StudyBudget, StudyRequest, WIRE_VERSION,
+use mgopt_bench::{
+    measure, send_frame, standalone_front, study, MultiConnBench, ServerBench, Window,
 };
-use mgopt_microgrid::CompositionSpace;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer};
+use mgopt_core::wire::{PlanPoint, Request, Response, ResponseFrame, StudyRequest};
 use mgopt_server::{pipe, Server, ServerConfig};
-use serde::Serialize;
 
-/// The artifact schema checked by `bench_guard`.
-#[derive(Debug, Serialize)]
-struct ServerBench {
-    /// Studies per timed batch.
-    studies: usize,
-    population: usize,
-    max_trials: usize,
-    sites: usize,
-    plan_space: u64,
-    /// Daemon concurrency limit during the multiplexed run.
-    max_concurrent: usize,
-    /// High-water mark of genuinely overlapping studies (must reach
-    /// `max_concurrent` for the throughput number to mean anything).
-    in_flight_peak: usize,
-    /// Wall-clock of the multiplexed batch, min over samples, ms.
-    concurrent_ms_min: f64,
-    /// Wall-clock of the same batch with each `Done` awaited before the
-    /// next request, min over samples, ms.
-    sequential_ms_min: f64,
-    /// `studies / concurrent_ms_min`, in studies per second.
-    studies_per_sec: f64,
-    /// `sequential_ms_min / concurrent_ms_min`. On a single-core runner
-    /// the studies are CPU-bound so this hovers near 1.0; the committed
-    /// floor guards against the concurrency layer growing real overhead.
-    speedup: f64,
-    /// Prepared-cache traffic summed over every Accepted frame of the
-    /// timed runs.
-    prep_cache_hits: u64,
-    prep_cache_misses: u64,
-    prep_cache_hit_rate: f64,
-    /// `true` when every daemon front matched its standalone run bit for
-    /// bit.
-    agreement: bool,
-    /// The multi-connection phase (shared daemon, many sockets).
-    multi_conn: MultiConnBench,
-}
-
-/// One shared daemon driven from many concurrent connections at once,
-/// past the process-wide admission cap, with a mid-flight cancellation.
-#[derive(Debug, Serialize)]
-struct MultiConnBench {
-    /// Concurrently connected clients.
-    connections: usize,
-    /// Completed (non-cancelled) studies across all connections.
-    studies: usize,
-    /// Process-wide in-flight study cap during the run.
-    max_concurrent: usize,
-    /// High-water mark of genuinely overlapping studies (can never
-    /// exceed `max_concurrent` — `bench_guard` checks it).
-    in_flight_peak: usize,
-    /// High-water mark of studies waiting behind the admission cap
-    /// (17 submissions against a cap of 4 must queue).
-    queue_depth_peak: usize,
-    /// Wall-clock of the batch, min over samples, ms.
-    ms_min: f64,
-    /// `studies / ms_min`, in studies per second.
-    studies_per_sec: f64,
-    /// Throughput relative to the single-connection sequential baseline
-    /// scaled to this batch size.
-    speedup: f64,
-    /// `Done` frames observed for the cancelled study — must be 0; the
-    /// cancelled study's terminal frame is `Cancelled`.
-    cancelled_done_frames: usize,
-    /// `true` when every completed front matched its standalone run bit
-    /// for bit, on every connection.
-    agreement: bool,
-}
-
-fn study(seed: u64, population_size: usize, max_trials: usize) -> StudyRequest {
-    StudyRequest {
-        fleet: FleetSpec::Preset("paper".into()),
-        space: Some(CompositionSpace {
-            wind_choices: vec![0, 4],
-            solar_choices_kw: vec![0.0, 16_000.0],
-            battery_choices_kwh: vec![0.0, 22_500.0],
-        }),
-        objectives: None,
-        budget: StudyBudget {
-            population_size,
-            max_trials,
-            seed,
-        },
-        peak_cap_kw: None,
-        stream: false,
-    }
-}
-
-/// The front a standalone (no daemon) run produces for `study`.
-fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
-    let fleet = study.resolved_scenario().expect("valid study").prepare();
-    let problem = mgopt_core::FleetProblem::new(&fleet);
-    let optimizer = Nsga2Optimizer::new(Nsga2Config {
-        population_size: study.budget.population_size,
-        max_trials: study.budget.max_trials,
-        seed: study.budget.seed,
-        ..Nsga2Config::default()
-    });
-    let mut last = Vec::new();
-    optimizer.run_observed(&problem, &mut |view| {
-        last = view
-            .front
-            .iter()
-            .map(|(genome, eval)| PlanPoint {
-                genome: genome.clone(),
-                plan: genome
-                    .iter()
-                    .zip(&fleet.members)
-                    .map(|(&g, m)| m.config.space.at(g as usize))
-                    .collect(),
-                objectives: eval.objectives.clone(),
-                violation: eval.total_violation(),
-            })
-            .collect();
-    });
-    last
-}
+/// Samples per phase: a multiple of 3, so each of the three phases leads
+/// equally often.
+const SAMPLES: usize = 3;
 
 /// Stats of one timed batch through the daemon.
 struct BatchRun {
-    ms: f64,
     fronts: Vec<Vec<PlanPoint>>,
     hits: u64,
     misses: u64,
@@ -166,9 +50,15 @@ struct BatchRun {
     sites: usize,
 }
 
-/// Drive `studies` through a fresh daemon over the in-process pipe.
+/// Drive `studies` through a fresh daemon over the in-process pipe,
+/// timing from the first request to the last `Done` in `window`.
 /// `sequential` awaits each `Done` before the next request.
-fn run_batch(studies: &[StudyRequest], max_concurrent: usize, sequential: bool) -> BatchRun {
+fn run_batch(
+    studies: &[StudyRequest],
+    max_concurrent: usize,
+    sequential: bool,
+    window: &mut Window,
+) -> BatchRun {
     let server = Arc::new(Server::new(ServerConfig {
         max_concurrent,
         ..ServerConfig::default()
@@ -184,14 +74,8 @@ fn run_batch(studies: &[StudyRequest], max_concurrent: usize, sequential: bool) 
     let mut fronts: Vec<Option<Vec<PlanPoint>>> = vec![None; studies.len()];
     let (mut hits, mut misses) = (0u64, 0u64);
     let (mut plan_space, mut sites) = (0u64, 0usize);
-    let t0 = Instant::now();
-    let pump = |reader: &mut BufReader<pipe::PipeReader>,
-                fronts: &mut Vec<Option<Vec<PlanPoint>>>,
-                hits: &mut u64,
-                misses: &mut u64,
-                plan_space: &mut u64,
-                sites: &mut usize,
-                want_done: usize| {
+    window.open();
+    let mut pump = |want_done: usize| {
         let mut done = 0usize;
         while done < want_done {
             let mut line = String::new();
@@ -200,10 +84,10 @@ fn run_batch(studies: &[StudyRequest], max_concurrent: usize, sequential: bool) 
             let k: usize = frame.id[1..].parse().unwrap();
             match frame.resp {
                 Response::Accepted(a) => {
-                    *hits += u64::from(a.prep_cache_hits);
-                    *misses += u64::from(a.prep_cache_misses);
-                    *plan_space = a.plan_space;
-                    *sites = a.sites.len();
+                    hits += u64::from(a.prep_cache_hits);
+                    misses += u64::from(a.prep_cache_misses);
+                    plan_space = a.plan_space;
+                    sites = a.sites.len();
                 }
                 Response::Done(d) => {
                     fronts[k] = Some(d.front);
@@ -216,50 +100,21 @@ fn run_batch(studies: &[StudyRequest], max_concurrent: usize, sequential: bool) 
             }
         }
     };
-    if sequential {
-        for (k, s) in studies.iter().enumerate() {
-            let frame = RequestFrame {
-                v: WIRE_VERSION,
-                id: format!("s{k}"),
-                req: Request::Study(s.clone()),
-            };
-            writeln!(writer, "{}", encode_request(&frame)).unwrap();
-            pump(
-                &mut reader,
-                &mut fronts,
-                &mut hits,
-                &mut misses,
-                &mut plan_space,
-                &mut sites,
-                1,
-            );
+    for (k, s) in studies.iter().enumerate() {
+        send_frame(&mut writer, &format!("s{k}"), Request::Study(s.clone()));
+        if sequential {
+            pump(1);
         }
-    } else {
-        for (k, s) in studies.iter().enumerate() {
-            let frame = RequestFrame {
-                v: WIRE_VERSION,
-                id: format!("s{k}"),
-                req: Request::Study(s.clone()),
-            };
-            writeln!(writer, "{}", encode_request(&frame)).unwrap();
-        }
-        pump(
-            &mut reader,
-            &mut fronts,
-            &mut hits,
-            &mut misses,
-            &mut plan_space,
-            &mut sites,
-            studies.len(),
-        );
     }
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    if !sequential {
+        pump(studies.len());
+    }
+    window.close();
     let peak = server.peak_in_flight();
     drop(writer);
     drop(reader);
     join.join().unwrap().unwrap();
     BatchRun {
-        ms,
         fronts: fronts.into_iter().map(Option::unwrap).collect(),
         hits,
         misses,
@@ -271,20 +126,10 @@ fn run_batch(studies: &[StudyRequest], max_concurrent: usize, sequential: bool) 
 
 /// Stats of one multi-connection batch through a shared daemon.
 struct MultiRun {
-    ms: f64,
     in_flight_peak: usize,
     queue_depth_peak: usize,
     cancelled_done_frames: usize,
     agreement: bool,
-}
-
-fn send_frame(writer: &mut pipe::PipeWriter, id: &str, req: Request) {
-    let frame = RequestFrame {
-        v: WIRE_VERSION,
-        id: id.into(),
-        req,
-    };
-    writeln!(writer, "{}", encode_request(&frame)).unwrap();
 }
 
 /// Drive a fresh shared daemon from `studies.len()` concurrent
@@ -298,12 +143,13 @@ fn run_multi(
     expected: &[Vec<PlanPoint>],
     max_concurrent: usize,
     victim: &StudyRequest,
+    window: &mut Window,
 ) -> MultiRun {
     let server = Arc::new(Server::new(ServerConfig {
         max_concurrent,
         ..ServerConfig::default()
     }));
-    let t0 = Instant::now();
+    window.open();
     let clients: Vec<_> = studies
         .iter()
         .enumerate()
@@ -381,8 +227,8 @@ fn run_multi(
         agreement &= ok;
         cancelled_done_frames += cancelled_done;
     }
+    window.close();
     MultiRun {
-        ms: t0.elapsed().as_secs_f64() * 1e3,
         in_flight_peak: server.peak_in_flight(),
         queue_depth_peak: server.queue_depth_peak(),
         cancelled_done_frames,
@@ -394,7 +240,6 @@ fn main() {
     let fast = mgopt_bench::fast_mode();
     let n_studies = 8usize;
     let (population, max_trials) = if fast { (6, 18) } else { (10, 40) };
-    let samples = if fast { 1 } else { 2 };
     let max_concurrent = 4usize;
     let studies: Vec<StudyRequest> = (0..n_studies as u64)
         .map(|k| study(k, population, max_trials))
@@ -407,73 +252,66 @@ fn main() {
 
     let expected: Vec<Vec<PlanPoint>> = studies.iter().map(standalone_front).collect();
 
-    let mut concurrent_ms = f64::INFINITY;
-    let mut sequential_ms = f64::INFINITY;
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let mut peak = 0usize;
-    let (mut plan_space, mut sites) = (0u64, 0usize);
-    let mut agreement = true;
-    for _ in 0..samples {
-        let conc = run_batch(&studies, max_concurrent, false);
-        let seq = run_batch(&studies, 1, true);
-        concurrent_ms = concurrent_ms.min(conc.ms);
-        sequential_ms = sequential_ms.min(seq.ms);
-        agreement &= conc.fronts == expected && seq.fronts == expected;
-        hits += conc.hits + seq.hits;
-        misses += conc.misses + seq.misses;
-        peak = peak.max(conc.peak);
-        plan_space = conc.plan_space;
-        sites = conc.sites;
-    }
-
-    // Multi-connection phase: same 8 studies, one shared daemon, one
+    // The multi-connection phase: same 8 studies, one shared daemon, one
     // connection per study (each submitted twice), plus a long streamed
     // victim study cancelled after its first generation.
-    let victim = {
-        let mut v = study(999, population, max_trials * 10);
-        v.stream = true;
-        v
-    };
-    let mut multi_ms = f64::INFINITY;
-    let mut multi_peak = 0usize;
-    let mut multi_queue_peak = 0usize;
-    let mut multi_cancelled_done = 0usize;
-    let mut multi_agreement = true;
-    for _ in 0..samples {
-        let run = run_multi(&studies, &expected, max_concurrent, &victim);
-        multi_ms = multi_ms.min(run.ms);
-        multi_peak = multi_peak.max(run.in_flight_peak);
-        multi_queue_peak = multi_queue_peak.max(run.queue_depth_peak);
-        multi_cancelled_done += run.cancelled_done_frames;
-        multi_agreement &= run.agreement;
-    }
+    let mut victim = study(999, population, max_trials * 10);
+    victim.stream = true;
+
+    let (mut concurrent_runs, mut sequential_runs, mut multi_runs) =
+        (Vec::new(), Vec::new(), Vec::new());
+    let t = measure(SAMPLES, 3, |v, window| match v {
+        0 => concurrent_runs.push(run_batch(&studies, max_concurrent, false, window)),
+        1 => sequential_runs.push(run_batch(&studies, 1, true, window)),
+        _ => multi_runs.push(run_multi(
+            &studies,
+            &expected,
+            max_concurrent,
+            &victim,
+            window,
+        )),
+    });
+    let (concurrent, sequential, multi) = (t[0], t[1], t[2]);
+
+    let batch_runs = || concurrent_runs.iter().chain(&sequential_runs);
+    let hits: u64 = batch_runs().map(|r| r.hits).sum();
+    let misses: u64 = batch_runs().map(|r| r.misses).sum();
+    let agreement = batch_runs().all(|r| r.fronts == expected);
     let multi_studies = 2 * n_studies;
     let multi_conn = MultiConnBench {
         connections: n_studies,
         studies: multi_studies,
         max_concurrent,
-        in_flight_peak: multi_peak,
-        queue_depth_peak: multi_queue_peak,
-        ms_min: multi_ms,
-        studies_per_sec: multi_studies as f64 / (multi_ms / 1e3),
+        in_flight_peak: multi_runs
+            .iter()
+            .map(|r| r.in_flight_peak)
+            .max()
+            .unwrap_or(0),
+        queue_depth_peak: multi_runs
+            .iter()
+            .map(|r| r.queue_depth_peak)
+            .max()
+            .unwrap_or(0),
+        timing: multi,
+        studies_per_sec: multi_studies as f64 / (multi.median_ms / 1e3),
         // Sequential baseline scaled from 8 studies to this batch size.
-        speedup: sequential_ms * (multi_studies as f64 / n_studies as f64) / multi_ms,
-        cancelled_done_frames: multi_cancelled_done,
-        agreement: multi_agreement,
+        speedup: sequential.median_ms * (multi_studies as f64 / n_studies as f64) / multi.median_ms,
+        cancelled_done_frames: multi_runs.iter().map(|r| r.cancelled_done_frames).sum(),
+        agreement: multi_runs.iter().all(|r| r.agreement),
     };
 
     let bench = ServerBench {
         studies: n_studies,
         population,
         max_trials,
-        sites,
-        plan_space,
+        sites: concurrent_runs[0].sites,
+        plan_space: concurrent_runs[0].plan_space,
         max_concurrent,
-        in_flight_peak: peak,
-        concurrent_ms_min: concurrent_ms,
-        sequential_ms_min: sequential_ms,
-        studies_per_sec: n_studies as f64 / (concurrent_ms / 1e3),
-        speedup: sequential_ms / concurrent_ms,
+        in_flight_peak: concurrent_runs.iter().map(|r| r.peak).max().unwrap_or(0),
+        concurrent,
+        sequential,
+        studies_per_sec: n_studies as f64 / (concurrent.median_ms / 1e3),
+        speedup: sequential.median_ms / concurrent.median_ms,
         prep_cache_hits: hits,
         prep_cache_misses: misses,
         prep_cache_hit_rate: if hits + misses > 0 {
@@ -486,12 +324,12 @@ fn main() {
     };
 
     println!(
-        "  multiplexed {:9.1} ms   ({:.2} studies/s, peak {} in flight)",
-        bench.concurrent_ms_min, bench.studies_per_sec, bench.in_flight_peak
+        "  multiplexed {:9.1} ± {:.1} ms   ({:.2} studies/s, peak {} in flight)",
+        concurrent.median_ms, concurrent.mad_ms, bench.studies_per_sec, bench.in_flight_peak
     );
     println!(
-        "  sequential  {:9.1} ms   (speedup {:.2}x)",
-        bench.sequential_ms_min, bench.speedup
+        "  sequential  {:9.1} ± {:.1} ms   (speedup {:.2}x, medians)",
+        sequential.median_ms, sequential.mad_ms, bench.speedup
     );
     println!(
         "  prep cache  {} hits / {} misses ({:.0}% hit rate)",
@@ -509,9 +347,9 @@ fn main() {
     );
     let mc = &bench.multi_conn;
     println!(
-        "  multi-conn  {:9.1} ms   ({} connections, {} studies, {:.2} studies/s, \
+        "  multi-conn  {:9.1} ± {:.1} ms   ({} connections, {} studies, {:.2} studies/s, \
          speedup {:.2}x)",
-        mc.ms_min, mc.connections, mc.studies, mc.studies_per_sec, mc.speedup
+        multi.median_ms, multi.mad_ms, mc.connections, mc.studies, mc.studies_per_sec, mc.speedup
     );
     println!(
         "              peak {} in flight (cap {}), queue depth peak {}, \
@@ -527,8 +365,5 @@ fn main() {
         }
     );
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_server.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_server.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench("BENCH_server.json", &bench);
 }

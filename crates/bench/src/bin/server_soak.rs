@@ -26,81 +26,19 @@
 //! `trace_report --check`, so the queued/cancelled telemetry schema is
 //! exercised end to end. `MGOPT_FAST=1` shrinks budgets for smoke runs.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-use mgopt_core::wire::{
-    encode_request, FleetSpec, PlanPoint, Request, RequestFrame, Response, ResponseFrame,
-    StudyBudget, StudyRequest, WIRE_VERSION,
-};
-use mgopt_microgrid::CompositionSpace;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer};
+use mgopt_bench::{send_frame, standalone_front, study};
+use mgopt_core::wire::{PlanPoint, Request, Response, ResponseFrame, StudyRequest};
 use mgopt_server::{Server, ServerConfig};
 
 const CONNECTIONS: usize = 8;
 const MAX_CONCURRENT: usize = 4;
-
-fn study(seed: u64, population_size: usize, max_trials: usize, stream: bool) -> StudyRequest {
-    StudyRequest {
-        fleet: FleetSpec::Preset("paper".into()),
-        space: Some(CompositionSpace {
-            wind_choices: vec![0, 4],
-            solar_choices_kw: vec![0.0, 16_000.0],
-            battery_choices_kwh: vec![0.0, 22_500.0],
-        }),
-        objectives: None,
-        budget: StudyBudget {
-            population_size,
-            max_trials,
-            seed,
-        },
-        peak_cap_kw: None,
-        stream,
-    }
-}
-
-/// The front a standalone (no daemon) run produces for `study`.
-fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
-    let fleet = study.resolved_scenario().expect("valid study").prepare();
-    let problem = mgopt_core::FleetProblem::new(&fleet);
-    let optimizer = Nsga2Optimizer::new(Nsga2Config {
-        population_size: study.budget.population_size,
-        max_trials: study.budget.max_trials,
-        seed: study.budget.seed,
-        ..Nsga2Config::default()
-    });
-    let mut last = Vec::new();
-    optimizer.run_observed(&problem, &mut |view| {
-        last = view
-            .front
-            .iter()
-            .map(|(genome, eval)| PlanPoint {
-                genome: genome.clone(),
-                plan: genome
-                    .iter()
-                    .zip(&fleet.members)
-                    .map(|(&g, m)| m.config.space.at(g as usize))
-                    .collect(),
-                objectives: eval.objectives.clone(),
-                violation: eval.total_violation(),
-            })
-            .collect();
-    });
-    last
-}
-
-fn send_frame(writer: &mut TcpStream, id: &str, req: Request) {
-    let frame = RequestFrame {
-        v: WIRE_VERSION,
-        id: id.into(),
-        req,
-    };
-    writeln!(writer, "{}", encode_request(&frame)).expect("daemon socket writable");
-}
 
 /// What one client connection observed.
 struct ClientOutcome {
@@ -205,10 +143,11 @@ fn main() -> ExitCode {
     );
 
     let studies: Vec<StudyRequest> = (0..CONNECTIONS as u64)
-        .map(|k| study(k, population, max_trials, false))
+        .map(|k| study(k, population, max_trials))
         .collect();
     let expected: Vec<Vec<PlanPoint>> = studies.iter().map(standalone_front).collect();
-    let victim = study(999, population, max_trials * 10, true);
+    let mut victim = study(999, population, max_trials * 10);
+    victim.stream = true;
 
     let t0 = Instant::now();
     let ready = Arc::new(Barrier::new(CONNECTIONS));

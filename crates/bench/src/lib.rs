@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment and benchmark binaries.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it from scratch and writes a JSON artifact next to the
@@ -14,6 +14,13 @@
 //! | `search_performance` | §4.4 comparison |
 //! | `beyond_carbon` | §4.3 additional objectives |
 //!
+//! The benchmark bins (`bench_sweep`, `fleet_sweep`, `fleet_search`,
+//! `server_bench`) time every variant through one [`measure()`] (warm-up,
+//! rotated interleaved samples, min/median/MAD) and write the
+//! `BENCH_*.json` artifacts ([`SweepBench`], [`FleetBench`],
+//! [`FleetSearchBench`], [`ServerBench`]) at the repository root;
+//! `bench_guard` re-reads them with the same types ([`guard::check`]).
+//!
 //! ## Environment variables
 //!
 //! | Variable | Effect |
@@ -21,7 +28,6 @@
 //! | `MGOPT_FAST=1` | Reduced 27-point composition space (smoke tests). |
 //! | `MGOPT_DENSE="<mw>,<mwh>"` | Denser-than-paper grid: solar step in MW, battery step in MWh (e.g. `"2,5"`). Malformed values abort with a usage message. |
 //! | `MGOPT_TRACE=<path>` | Structured JSONL telemetry trace (spans, counters, per-generation search events) written to `path`; summarize with the `trace_report` bin. Disabled costs one relaxed atomic load per instrumented call. |
-//! | `MGOPT_THREADS="1,2,4"` | Thread counts for the benchmark bins' scaling sweep (comma-separated positive integers; default `1,2,4`). Each count is clamped to available cores — the artifact records both requested and effective counts. Malformed values abort with a usage message. |
 //! | `MGOPT_SERVER_ADDR=<host:port>` | `mgopt_serve` binds this TCP address instead of serving stdin/stdout (port `0` picks a free port, printed on stderr). |
 //! | `MGOPT_ACCEPTORS=<n>` | Daemon: max concurrently served TCP connections (default 8); further connections wait in the accept queue. |
 //! | `MGOPT_SERVER_CONCURRENCY=<n>` | Daemon: process-wide max in-flight studies across all connections (default 4); excess studies wait in FIFO order and announce themselves with a `Queued` frame. |
@@ -32,7 +38,16 @@
 //! The default (no variables) regenerates the full 1,089-point studies
 //! untraced.
 
-use std::path::PathBuf;
+mod artifact;
+mod client;
+pub mod guard;
+mod measure;
+
+pub use artifact::{
+    repo_root, write_bench, FleetBench, FleetSearchBench, MultiConnBench, ServerBench, SweepBench,
+};
+pub use client::{send_frame, standalone_front, study};
+pub use measure::{measure, scaling_sweep, ThreadScaling, Timing, Window};
 
 use mgopt_core::{PreparedScenario, ScenarioConfig};
 use mgopt_microgrid::CompositionSpace;
@@ -87,83 +102,6 @@ pub fn parse_dense(v: &str) -> Result<(f64, f64), String> {
     }
 }
 
-/// Thread counts for the scaling sweep, from `MGOPT_THREADS="1,2,4"`
-/// (comma-separated positive integers); default `[1, 2, 4]`.
-///
-/// Malformed values print the [`parse_threads`] error and exit with
-/// status 2, like [`dense_steps`] — a silently ignored typo would
-/// mislabel the scaling entries.
-pub fn thread_counts() -> Vec<usize> {
-    let Ok(v) = std::env::var("MGOPT_THREADS") else {
-        return vec![1, 2, 4];
-    };
-    match parse_threads(&v) {
-        Ok(counts) => counts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse an `MGOPT_THREADS` value: comma-separated positive integers.
-/// The `Err` message states the expected format.
-pub fn parse_threads(v: &str) -> Result<Vec<usize>, String> {
-    const USAGE: &str = "want comma-separated positive integers, e.g. \"1,2,4\"";
-    v.split(',')
-        .map(|s| match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err(format!("MGOPT_THREADS: zero in {v:?} ({USAGE})")),
-            Err(_) => Err(format!("MGOPT_THREADS: bad count {s:?} ({USAGE})")),
-        })
-        .collect()
-}
-
-/// One point of a benchmark bin's thread-scaling sweep: the full workload
-/// re-timed with the worker pool capped at `threads_requested`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThreadScaling {
-    /// Thread count asked for (an `MGOPT_THREADS` entry).
-    pub threads_requested: usize,
-    /// Worker count actually used after clamping to available cores —
-    /// on a 1-core runner every request runs with 1 thread, and the
-    /// artifact says so instead of implying a parallel measurement.
-    pub threads_effective: usize,
-    /// Fastest observed wall-clock for the workload at this pool size, ms.
-    pub ms_min: f64,
-}
-
-/// Time `workload` at each requested thread count via
-/// [`rayon::set_num_threads`], restoring the unlimited pool afterwards.
-/// `reps` timings per count, keeping the fastest (see [`min_ms`]).
-pub fn scaling_sweep<F: FnMut()>(
-    counts: &[usize],
-    reps: usize,
-    mut workload: F,
-) -> Vec<ThreadScaling> {
-    let sweep = counts
-        .iter()
-        .map(|&req| {
-            rayon::set_num_threads(req);
-            let effective = rayon::current_num_threads();
-            let samples: Vec<f64> = (0..reps.max(1))
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    workload();
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .collect();
-            ThreadScaling {
-                threads_requested: req,
-                threads_effective: effective,
-                ms_min: min_ms(&samples),
-            }
-        })
-        .collect();
-    rayon::set_num_threads(0);
-    sweep
-}
-
 /// The search space for the current mode: `MGOPT_FAST=1` shrinks it to 27
 /// points, `MGOPT_DENSE="<mw>,<mwh>"` densifies the paper envelope (see
 /// [`CompositionSpace::dense`]), default is the paper's 1,089-point grid.
@@ -195,13 +133,6 @@ pub fn berkeley() -> PreparedScenario {
     .prepare()
 }
 
-/// Fastest observed wall-clock of a timing series: on shared hosts timing
-/// noise is strictly additive (interference only ever slows a run down),
-/// so the minimum is the robust estimator of intrinsic cost.
-pub fn min_ms(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
 /// One stage row of a [`TelemetrySection`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryStage {
@@ -213,10 +144,9 @@ pub struct TelemetryStage {
     pub total_ms: f64,
 }
 
-/// The optional `telemetry` section of BENCH artifacts: per-stage time
-/// breakdown plus engine throughput and memo-cache effectiveness from an
-/// instrumented (telemetry-enabled) run. `bench_guard` sanity-checks the
-/// section when present and tolerates artifacts without one.
+/// The `telemetry` section of `BENCH_fleet_search.json`: per-stage time
+/// breakdown plus engine throughput and memo-cache effectiveness from
+/// instrumented (telemetry-enabled) runs. `bench_guard` sanity-checks it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySection {
     /// Stages with at least one recorded span.
@@ -270,9 +200,7 @@ pub fn collect_telemetry_section() -> TelemetrySection {
 /// Write a JSON artifact under `results/` (best effort — printing is the
 /// primary output; artifact failures only warn).
 pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     if std::fs::create_dir_all(&dir).is_err() {
         eprintln!("warning: could not create results dir");
         return;
@@ -327,51 +255,6 @@ mod tests {
         }
         assert!(parse_dense("two,5").unwrap_err().contains("bad number"));
         assert!(parse_dense("0,5").unwrap_err().contains("non-positive"));
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integer_lists() {
-        assert_eq!(parse_threads("1,2,4"), Ok(vec![1, 2, 4]));
-        assert_eq!(parse_threads(" 8 "), Ok(vec![8]));
-        assert_eq!(parse_threads("4,2,1"), Ok(vec![4, 2, 1]));
-    }
-
-    #[test]
-    fn parse_threads_errors_state_the_expected_format() {
-        for bad in ["", "0", "1,0,4", "two", "1,,4", "-1", "1.5"] {
-            let err = parse_threads(bad).unwrap_err();
-            assert!(
-                err.contains("MGOPT_THREADS") && err.contains("positive integers"),
-                "unhelpful message for {bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn scaling_sweep_runs_each_count_and_restores_the_pool() {
-        let before = rayon::current_num_threads();
-        let mut runs = 0usize;
-        let sweep = scaling_sweep(&[1, 2], 3, || runs += 1);
-        assert_eq!(runs, 6);
-        assert_eq!(sweep.len(), 2);
-        for (point, req) in sweep.iter().zip([1usize, 2]) {
-            assert_eq!(point.threads_requested, req);
-            assert!(point.threads_effective >= 1 && point.threads_effective <= req);
-            assert!(point.ms_min >= 0.0 && point.ms_min.is_finite());
-        }
-        assert_eq!(rayon::current_num_threads(), before);
-    }
-
-    #[test]
-    fn thread_scaling_round_trips_through_json() {
-        let point = ThreadScaling {
-            threads_requested: 4,
-            threads_effective: 1,
-            ms_min: 12.5,
-        };
-        let json = serde_json::to_string(&point).unwrap();
-        let back: ThreadScaling = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, point);
     }
 
     #[test]
